@@ -3,7 +3,8 @@
 //! The calendar [`EventQueue`] against the recorded pre-refactor
 //! [`BaselineHeap`], on the three operations the simulator spends its
 //! time in: the hold model (pop front + schedule successor at steady
-//! state), a schedule/drain burst, and cancellation. The gated
+//! state), a schedule/drain burst, and `EventId` cancellation (calendar
+//! only; the heap baseline has no cancel path). The gated
 //! pass/fail comparison lives in `examples/engine_bench.rs`; this
 //! harness is for profiling the same shapes under criterion's sampler.
 
@@ -85,20 +86,6 @@ fn bench_burst(c: &mut Criterion) {
 
 fn bench_cancel(c: &mut Criterion) {
     let mut group = c.benchmark_group("cancel_in_4k_pending");
-    group.bench_function("heap_remove_first", |b| {
-        b.iter_batched_ref(
-            || {
-                let mut rng = Rng::new(42);
-                let mut q = BaselineHeap::new();
-                for i in 0..4_096u64 {
-                    q.push(SimTime::from_ps(rng.next_below(GAP_PS)), i);
-                }
-                q
-            },
-            |q| black_box(q.remove_first(|&e| e == 2_048)),
-            BatchSize::SmallInput,
-        )
-    });
     group.bench_function("calendar_tombstone", |b| {
         b.iter_batched_ref(
             || {

@@ -43,8 +43,10 @@ mod shard;
 pub use parallel::EngineConfig;
 use shard::WorkerShard;
 
+use std::hash::Hasher;
+
 use jord_hw::{PartitionWindow, StorageFaultPlan};
-use jord_sim::{EventQueue, LatencyHistogram, QueueProbe, Rng, SimDuration, SimTime};
+use jord_sim::{EventQueue, Fnv1a, LatencyHistogram, QueueProbe, Rng, SimDuration, SimTime};
 
 use crate::admission::BrownoutLevel;
 use crate::autoscaler::{
@@ -256,27 +258,8 @@ impl ClusterConfig {
                 .validate()
                 .map_err(|reason| ConfigError::Cluster { reason })?;
         }
-        if let Some(e) = &self.engine {
-            if e.threads == 0 {
-                return bad("engine.threads must be at least 1".into());
-            }
-            if !e.lookahead_us.is_finite() || e.lookahead_us <= 0.0 {
-                return bad(format!(
-                    "engine.lookahead_us must be positive and finite, got {} \
-                     (zero lookahead admits zero-width windows: the horizon \
-                     could never pass the earliest shard)",
-                    e.lookahead_us
-                ));
-            }
-            if e.lookahead_us > self.detector.heartbeat_every_us {
-                return bad(format!(
-                    "engine.lookahead_us ({} µs) must not exceed the heartbeat \
-                     interval ({} µs): a window wider than the heartbeat cadence \
-                     would let a shard run past detector timers the dispatcher \
-                     has yet to arm",
-                    e.lookahead_us, self.detector.heartbeat_every_us
-                ));
-            }
+        if self.engine.is_some_and(|e| e.threads == 0) {
+            return bad("engine.threads must be at least 1".into());
         }
         Ok(())
     }
@@ -1287,7 +1270,7 @@ impl ClusterDispatcher {
         // residency, per-worker lifetimes, and the fleet trace hash
         // (FNV-1a over every worker's own trace hash, in slot order).
         self.fold_brownout(self.finished_at);
-        let mut trace_hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut trace_hash = Fnv1a::new();
         for slot in &self.slots {
             let end = if slot.retired {
                 slot.retired_at
@@ -1296,10 +1279,7 @@ impl ClusterDispatcher {
             };
             self.autoscale_stats.worker_seconds +=
                 end.saturating_since(slot.spawned_at).as_ns_f64() / 1e9;
-            for byte in slot.server.trace_hash().to_le_bytes() {
-                trace_hash ^= u64::from(byte);
-                trace_hash = trace_hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            trace_hash.write(&slot.server.trace_hash().to_le_bytes());
         }
         let mut report = ClusterReport {
             offered: self.requests.len() as u64,
@@ -1312,7 +1292,7 @@ impl ClusterDispatcher {
             finished_at: self.finished_at,
             autoscale: self.autoscale_stats,
             windows: self.windows.clone(),
-            trace_hash,
+            trace_hash: trace_hash.finish(),
             memory: MemoryLedger::default(),
             durability: DurabilityStats::default(),
             probe: self.events.probe(),
@@ -1476,34 +1456,8 @@ mod tests {
         let mut c = base_cfg(2);
         c.engine = Some(EngineConfig::threads(4));
         assert!(c.validate().is_ok(), "a sane engine config passes");
-        c.engine = Some(EngineConfig {
-            threads: 0,
-            ..EngineConfig::threads(1)
-        });
+        c.engine = Some(EngineConfig::threads(0));
         assert!(c.validate().is_err(), "zero threads");
-        c.engine = Some(EngineConfig {
-            lookahead_us: 0.0,
-            ..EngineConfig::threads(2)
-        });
-        assert!(c.validate().is_err(), "zero lookahead");
-        c.engine = Some(EngineConfig {
-            lookahead_us: -1.0,
-            ..EngineConfig::threads(2)
-        });
-        assert!(c.validate().is_err(), "negative lookahead");
-        c.engine = Some(EngineConfig {
-            lookahead_us: f64::NAN,
-            ..EngineConfig::threads(2)
-        });
-        assert!(c.validate().is_err(), "NaN lookahead");
-        c.engine = Some(EngineConfig {
-            lookahead_us: c.detector.heartbeat_every_us * 2.0,
-            ..EngineConfig::threads(2)
-        });
-        assert!(
-            c.validate().is_err(),
-            "lookahead wider than the heartbeat interval"
-        );
     }
 
     #[test]

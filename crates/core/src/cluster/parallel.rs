@@ -41,7 +41,7 @@
 //! sound only if no other shard advanced past the completion's
 //! timestamp, i.e. if the completion landed at least `lookahead` after
 //! its producing pop. The engine asserts that contract at merge time and
-//! panics with a configuration diagnosis rather than silently diverging.
+//! panics with a diagnosis rather than silently diverging.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -60,32 +60,23 @@ pub struct EngineConfig {
     /// (horizons, outbox merge, barrier phases) on one thread — the
     /// cheapest way to differential-test the machinery. Must be ≥ 1.
     pub threads: usize,
-    /// Declared minimum latency (µs of simulated time) of any
-    /// cross-shard effect, measured from the pop time of the worker step
-    /// that originates it. Sound for this model because a completion
-    /// notice always trails its final execution chunk by the teardown
-    /// path (destroy-PD, notify, ArgBuf free — see `WorkerServer`
-    /// `finish`), and no other worker-originated effect crosses shards
-    /// at all. Larger values widen windows (more parallelism); a value
-    /// above the true minimum is detected at run time and panics rather
-    /// than diverging. Must be positive and at most the heartbeat
-    /// interval.
-    pub lookahead_us: f64,
 }
 
-/// Default [`EngineConfig::lookahead_us`]: 50 ns of simulated time,
-/// comfortably below the completion teardown path of every workload in
-/// the tree while still wide enough to batch a saturated worker's
-/// back-to-back segment pops into one window.
-pub const DEFAULT_LOOKAHEAD_US: f64 = 0.05;
+/// Minimum latency (µs of simulated time) of any cross-shard effect,
+/// measured from the pop time of the worker step that originates it:
+/// 50 ns. Sound for this model because a completion notice always trails
+/// its final execution chunk by the teardown path (destroy-PD, notify,
+/// ArgBuf free — see `WorkerServer` `finish`), and no other
+/// worker-originated effect crosses shards at all. It is not a setting:
+/// window horizons are capped by dispatcher events (every arrival is
+/// one), so widening it barely widens windows. A workload that completes
+/// faster is detected at merge time and panics rather than diverging.
+const LOOKAHEAD_US: f64 = 0.05;
 
 impl EngineConfig {
-    /// An engine with `threads` threads and the default lookahead.
+    /// An engine with `threads` threads.
     pub fn threads(threads: usize) -> Self {
-        EngineConfig {
-            threads,
-            lookahead_us: DEFAULT_LOOKAHEAD_US,
-        }
+        EngineConfig { threads }
     }
 }
 
@@ -111,7 +102,7 @@ impl ClusterDispatcher {
     /// Runs the windowed conservative engine to completion (the
     /// parallel counterpart of the sequential `advance_once` loop).
     pub(super) fn run_conservative(&mut self, eng: EngineConfig) {
-        let lookahead = us_dur(eng.lookahead_us);
+        let lookahead = us_dur(LOOKAHEAD_US);
         if eng.threads <= 1 {
             while let Some((h, runnable)) = self.next_window(lookahead) {
                 for &w in &runnable {
@@ -173,11 +164,11 @@ impl ClusterDispatcher {
                 let copies = self.requests[(n.tag - 1) as usize].copies.len();
                 assert!(
                     copies <= 1,
-                    "engine.lookahead_us exceeds this workload's minimum \
-                     completion latency: request {} completed at {} (produced \
-                     by a pop at {tau}), inside a window advanced to {h}, \
-                     while {copies} copies are live — the cancel pullback \
-                     would reach into a shard's past; lower the lookahead",
+                    "the engine's cross-shard lookahead exceeds this workload's \
+                     minimum completion latency: request {} completed at {} \
+                     (produced by a pop at {tau}), inside a window advanced to \
+                     {h}, while {copies} copies are live — the cancel pullback \
+                     would reach into a shard's past",
                     n.tag,
                     n.at,
                 );

@@ -32,9 +32,11 @@
 //! deterministic per seed, and nothing here consumes randomness unless a
 //! storage fault is actually armed.
 
+use std::hash::Hasher;
+
 use jord_hw::types::Va;
 use jord_hw::{StorageFaultKind, StorageStrike};
-use jord_sim::SimTime;
+use jord_sim::{Fnv1a, SimTime};
 
 use crate::admission::BrownoutLevel;
 use crate::function::FunctionId;
@@ -44,28 +46,14 @@ use crate::journal::JournalRecord;
 /// Frame header size: `len: u32` + `seq: u64` + `checksum: u64`.
 pub const FRAME_HEADER_BYTES: usize = 4 + 8 + 8;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into a running FNV-1a hash.
-fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a over `bytes` from the standard offset basis.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_OFFSET, bytes)
-}
-
 /// Per-frame checksum: FNV-1a over the sequence number then the payload,
 /// so a frame copied to a different position fails verification even if
 /// its payload is intact.
 fn frame_checksum(seq: u64, payload: &[u8]) -> u64 {
-    fnv1a_fold(fnv1a_fold(FNV_OFFSET, &seq.to_le_bytes()), payload)
+    let mut h = Fnv1a::new();
+    h.write(&seq.to_le_bytes());
+    h.write(payload);
+    h.finish()
 }
 
 // ----------------------------------------------------------------------
@@ -358,7 +346,7 @@ pub fn decode_record(payload: &[u8]) -> Option<JournalRecord> {
 pub struct DurableLog {
     bytes: Vec<u8>,
     next_seq: u64,
-    running_hash: u64,
+    running_hash: Fnv1a,
 }
 
 impl Default for DurableLog {
@@ -366,7 +354,7 @@ impl Default for DurableLog {
         DurableLog {
             bytes: Vec::new(),
             next_seq: 0,
-            running_hash: FNV_OFFSET,
+            running_hash: Fnv1a::new(),
         }
     }
 }
@@ -387,7 +375,7 @@ impl DurableLog {
         put_u64(&mut self.bytes, seq);
         put_u64(&mut self.bytes, frame_checksum(seq, &payload));
         self.bytes.extend_from_slice(&payload);
-        self.running_hash = fnv1a_fold(self.running_hash, &self.bytes[start..]);
+        self.running_hash.write(&self.bytes[start..]);
         self.next_seq += 1;
     }
 
@@ -408,12 +396,12 @@ impl DurableLog {
 
     /// The whole-log running FNV-1a hash.
     pub fn running_hash(&self) -> u64 {
-        self.running_hash
+        self.running_hash.finish()
     }
 
     /// Captures an integrity seal over the log as of now.
     pub fn seal(&self) -> CheckpointSeal {
-        CheckpointSeal::new(self.next_seq, self.bytes.len() as u64, self.running_hash)
+        CheckpointSeal::new(self.next_seq, self.bytes.len() as u64, self.running_hash())
     }
 }
 
@@ -446,9 +434,11 @@ impl CheckpointSeal {
     }
 
     fn compute_digest(frames: u64, log_bytes: u64, log_hash: u64) -> u64 {
-        let mut h = fnv1a_fold(FNV_OFFSET, &frames.to_le_bytes());
-        h = fnv1a_fold(h, &log_bytes.to_le_bytes());
-        fnv1a_fold(h, &log_hash.to_le_bytes())
+        let mut h = Fnv1a::new();
+        for field in [frames, log_bytes, log_hash] {
+            h.write(&field.to_le_bytes());
+        }
+        h.finish()
     }
 
     /// True when the seal's own digest is intact (the checkpoint image
@@ -463,7 +453,7 @@ impl CheckpointSeal {
     pub fn verifies(&self, log: &[u8]) -> bool {
         self.self_consistent()
             && (self.log_bytes as usize) <= log.len()
-            && fnv1a(&log[..self.log_bytes as usize]) == self.log_hash
+            && Fnv1a::hash(&log[..self.log_bytes as usize]) == self.log_hash
     }
 
     /// The seal with its digest ruined — how a truncated checkpoint

@@ -19,10 +19,11 @@
 //! those ~35 formerly scattered call sites are all subscribers now.
 
 use std::collections::VecDeque;
+use std::hash::Hasher;
 
 use jord_hw::types::Va;
 use jord_hw::FaultKind;
-use jord_sim::{OnlineStats, SimDuration, SimTime};
+use jord_sim::{Fnv1a, OnlineStats, SimDuration, SimTime};
 
 use crate::admission::BrownoutLevel;
 use crate::durability::CheckpointSeal;
@@ -731,11 +732,8 @@ struct TraceSink {
     ring: VecDeque<TraceEntry>,
     capacity: usize,
     count: u64,
-    hash: u64,
+    hash: Fnv1a,
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl TraceSink {
     fn new(capacity: usize) -> Self {
@@ -743,21 +741,18 @@ impl TraceSink {
             ring: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
             count: 0,
-            hash: FNV_OFFSET,
+            hash: Fnv1a::new(),
         }
     }
 
     fn apply(&mut self, ev: &LifecycleEvent) {
         // FNV-1a over the Debug encoding: stable for identical event
-        // streams, cheap, and independent of in-memory layout.
+        // streams, cheap, and independent of in-memory layout. The
+        // rendering streams straight into the hasher, no `String`.
         use std::fmt::Write;
-        let mut buf = String::new();
-        let _ = write!(buf, "{ev:?}");
-        for &b in buf.as_bytes() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        let _ = write!(self.hash, "{ev:?}");
         // Record separator so concatenation ambiguities cannot collide.
-        self.hash = (self.hash ^ 0x1e).wrapping_mul(FNV_PRIME);
+        self.hash.write(&[0x1e]);
 
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
@@ -922,7 +917,7 @@ impl EventBus {
 
     /// Order-sensitive FNV-1a hash of every event published so far.
     pub fn trace_hash(&self) -> u64 {
-        self.trace.hash
+        self.trace.hash.finish()
     }
 
     /// Total events published so far (not bounded by the ring).

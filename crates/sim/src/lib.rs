@@ -5,7 +5,7 @@
 //! substitute: a deterministic discrete-event simulation (DES) kernel that the
 //! hardware timing model ([`jord-hw`]) and the FaaS runtimes build on.
 //!
-//! It provides four things:
+//! It provides five things:
 //!
 //! * [`SimTime`] / [`SimDuration`] — picosecond-resolution simulated time
 //!   (one 4 GHz cycle = 250 ps), so every latency in the paper's Table 2/4 is
@@ -13,9 +13,9 @@
 //! * [`EventQueue`] — a total-order event queue with deterministic FIFO
 //!   tie-breaking for simultaneous events. Implemented as a slab-backed
 //!   calendar queue with a far-future overflow heap and O(1) tombstone
-//!   cancellation ([`EventId`]/[`CancelOutcome`]); the pre-refactor binary
-//!   heap survives in [`oracle`] as the differential-test oracle and the
-//!   recorded bench baseline.
+//!   cancellation ([`EventId`]/[`CancelOutcome`]), the one cancellation
+//!   API. The pre-refactor binary heap survives in [`oracle`] as the
+//!   differential-test oracle and the recorded bench baseline.
 //! * [`Rng`] (xoshiro256++) and [`dist`] — seeded, reproducible random number
 //!   generation and the distributions used by the load generator and workload
 //!   models (exponential inter-arrivals for Poisson processes, log-normal
@@ -23,6 +23,8 @@
 //! * [`stats`] — an HDR-style log-linear latency histogram with quantile
 //!   queries (p50/p99/…) and streaming mean/variance accumulators, used to
 //!   report the paper's p99-latency-vs-load curves and service-time CDFs.
+//! * [`Fnv1a`] — the 64-bit FNV-1a hash behind every trace hash, durable
+//!   log checksum and golden-replay digest.
 //!
 //! Everything is `no_std`-shaped plain Rust with no external dependencies, so
 //! experiments are bit-for-bit reproducible from their seeds on any host.
@@ -43,6 +45,7 @@
 //! [`jord-hw`]: https://example.com/jord-rs
 
 pub mod dist;
+pub mod fnv;
 pub mod horizon;
 pub mod oracle;
 pub mod queue;
@@ -51,6 +54,7 @@ pub mod stats;
 pub mod time;
 
 pub use dist::TimeDist;
+pub use fnv::Fnv1a;
 pub use horizon::lbts;
 pub use queue::{CancelOutcome, EventId, EventQueue, QueueProbe};
 pub use rng::Rng;

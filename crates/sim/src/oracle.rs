@@ -9,12 +9,14 @@
 //!   byte-for-byte the pre-refactor hot path. The engine bench harness
 //!   measures it side by side with the calendar queue and gates on the
 //!   speedup; the golden-trace tests prove both produce identical schedules.
-//! * [`HeapOracle`] — [`BaselineHeap`] plus id bookkeeping so the
+//! * [`HeapOracle`] — [`BaselineHeap`] plus a tombstone set so the
 //!   differential proptest can drive both queues through identical
-//!   schedule/pop/cancel/batch interleavings and assert the full
-//!   `(time, seq, payload)` pop sequence matches. The bookkeeping
-//!   (two `BTreeSet`s) is kept out of [`BaselineHeap`] so the measured
-//!   baseline stays honest.
+//!   schedule/pop/cancel/batch/drain interleavings and assert the full
+//!   `(time, seq, payload)` pop sequence matches. The bookkeeping is kept
+//!   out of [`BaselineHeap`] so the measured baseline stays honest.
+//!
+//! Cancellation goes through handles only: [`OracleId`] mirrors
+//! [`EventId`](crate::EventId).
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -118,31 +120,6 @@ impl<E> BaselineHeap<E> {
     pub fn now(&self) -> SimTime {
         self.last_popped
     }
-
-    /// Empties the queue, returning every pending event in pop order.
-    pub fn drain(&mut self) -> Vec<(SimTime, E)> {
-        let mut entries: Vec<Entry<E>> = std::mem::take(&mut self.heap).into_vec();
-        entries.sort_by(|a, b| a.time.cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
-        entries.into_iter().map(|e| (e.time, e.event)).collect()
-    }
-
-    /// The pre-refactor cancellation path: a linear scan followed by a full
-    /// drain-and-rebuild of the heap. Kept as the recorded baseline the O(1)
-    /// tombstone cancel is measured against.
-    pub fn remove_first(&mut self, pred: impl Fn(&E) -> bool) -> Option<(SimTime, E)> {
-        if !self.heap.iter().any(|e| pred(&e.event)) {
-            return None;
-        }
-        let mut removed = None;
-        for (t, ev) in self.drain() {
-            if removed.is_none() && pred(&ev) {
-                removed = Some((t, ev));
-            } else {
-                self.push(t, ev);
-            }
-        }
-        removed
-    }
 }
 
 impl<E> Default for BaselineHeap<E> {
@@ -165,9 +142,9 @@ pub struct OracleId(u64);
 /// original sequence numbers.
 pub struct HeapOracle<E> {
     inner: BaselineHeap<E>,
-    /// Seqs of still-pending (not popped, not cancelled) events.
-    live: BTreeSet<u64>,
-    /// Seqs cancelled but still physically in the heap.
+    /// Seqs cancelled but still physically in the heap. Every other heap
+    /// entry is live, so the heap and this set together answer `len` and
+    /// cancel staleness.
     tombstones: BTreeSet<u64>,
 }
 
@@ -176,7 +153,6 @@ impl<E> HeapOracle<E> {
     pub fn new() -> Self {
         HeapOracle {
             inner: BaselineHeap::new(),
-            live: BTreeSet::new(),
             tombstones: BTreeSet::new(),
         }
     }
@@ -185,7 +161,6 @@ impl<E> HeapOracle<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) -> OracleId {
         let seq = self.inner.next_seq;
         self.inner.push(time, event);
-        self.live.insert(seq);
         OracleId(seq)
     }
 
@@ -202,12 +177,11 @@ impl<E> HeapOracle<E> {
 
     /// Cancels a pending event; a stale handle is a no-op returning `false`.
     pub fn cancel(&mut self, id: OracleId) -> bool {
-        if self.live.remove(&id.0) {
-            self.tombstones.insert(id.0);
-            true
-        } else {
-            false
-        }
+        // Live means still in the heap and not yet tombstoned; a linear
+        // scan is oracle simplicity over speed.
+        !self.tombstones.contains(&id.0)
+            && self.inner.heap.iter().any(|e| e.seq == id.0)
+            && self.tombstones.insert(id.0)
     }
 
     /// Removes and returns the earliest live event.
@@ -220,7 +194,6 @@ impl<E> HeapOracle<E> {
             if self.tombstones.remove(&seq) {
                 continue;
             }
-            self.live.remove(&seq);
             return Some((t, seq, e));
         }
         self.inner.last_popped = prev_now;
@@ -245,12 +218,12 @@ impl<E> HeapOracle<E> {
 
     /// Number of pending (live) events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.inner.len() - self.tombstones.len()
     }
 
     /// True if no live events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len() == 0
     }
 
     /// The time of the most recently popped event.
@@ -262,40 +235,12 @@ impl<E> HeapOracle<E> {
     pub fn drain(&mut self) -> Vec<(SimTime, E)> {
         let mut entries: Vec<Entry<E>> = std::mem::take(&mut self.inner.heap).into_vec();
         entries.sort_by(|a, b| a.time.cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
-        self.live.clear();
         let tombs = std::mem::take(&mut self.tombstones);
         entries
             .into_iter()
             .filter(|e| !tombs.contains(&e.seq))
             .map(|e| (e.time, e.event))
             .collect()
-    }
-
-    /// Removes and returns the pop-order-first event matching `pred`,
-    /// keeping every survivor's sequence number (tombstone semantics,
-    /// mirroring the calendar queue).
-    pub fn remove_first(&mut self, pred: impl Fn(&E) -> bool) -> Option<(SimTime, E)> {
-        let target = self
-            .inner
-            .heap
-            .iter()
-            .filter(|e| !self.tombstones.contains(&e.seq) && pred(&e.event))
-            .map(|e| (e.time, e.seq))
-            .min()?;
-        // Pull the entry's payload out by rebuilding — oracle simplicity
-        // over speed; the production queue tombstones in place.
-        let mut kept: Vec<Entry<E>> = Vec::with_capacity(self.inner.heap.len());
-        let mut removed = None;
-        for e in std::mem::take(&mut self.inner.heap).into_vec() {
-            if e.seq == target.1 {
-                removed = Some((e.time, e.event));
-            } else {
-                kept.push(e);
-            }
-        }
-        self.inner.heap = kept.into();
-        self.live.remove(&target.1);
-        removed
     }
 }
 

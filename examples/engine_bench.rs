@@ -1,18 +1,18 @@
 //! Engine benchmark + determinism gate (see README "Engine bench").
 //!
 //! Measures the slab-backed calendar [`EventQueue`] against the recorded
-//! pre-refactor binary-heap baseline on three synthetic microbenches
-//! (hold model, transient burst, cancel storm), then times two end-to-end
-//! campaigns (autoscale and soak) for wall-clock simulated throughput.
+//! pre-refactor binary-heap baseline on two synthetic microbenches (hold
+//! model, transient burst), then runs an 8-worker cluster-scale campaign
+//! on the sequential and parallel engines. The autoscale golden replay
+//! lives in `crates/workloads/tests/engine_determinism.rs`; host cost of
+//! the soak campaign is measured by `perfbench`'s `soak-sanitize`
+//! workload.
 //!
 //! This is a CI gate, not just a report. It exits nonzero unless:
 //!
 //! * every heap/calendar pair pops a bit-identical checksum,
 //! * the hold model at 1 Mi pending events runs ≥ 2× the heap's
 //!   events/sec (the headline acceptance bar for the queue swap),
-//! * the autoscale campaign reproduces the golden trace hash and window
-//!   digest recorded under the old heap queue, twice in a row —
-//!   sequentially AND on the conservative parallel engine at 4 threads,
 //! * an 8-worker cluster-scale campaign pops the identical trace hash
 //!   at every thread count in {1, 2, 4, 8}, and — on machines with ≥ 4
 //!   cores — runs ≥ 2× faster at 4 threads than sequentially (the gate
@@ -27,14 +27,11 @@
 
 use std::time::Instant;
 
-use jord_bench::engine::{cancel_storm, hold_model, transient, MicroResult};
+use jord_bench::engine::{hold_model, transient, MicroResult};
 use jord_core::{ClusterConfig, ClusterDispatcher, EngineConfig, RuntimeConfig, SystemVariant};
 use jord_hw::MachineConfig;
-use jord_workloads::{AutoscaleCampaign, LoadGen, SoakCampaign, Workload, WorkloadKind};
+use jord_workloads::{LoadGen, Workload, WorkloadKind};
 
-/// Golden constants recorded under the pre-refactor heap queue.
-const PINNED_TRACE_HASH: u64 = 0x6dc108d71b0890cb;
-const PINNED_WINDOW_DIGEST: u64 = 0x80300dcf4f0511fa;
 /// Acceptance bar: calendar ≥ 2× heap on the headline schedule/pop bench.
 const GATE_SPEEDUP: f64 = 2.0;
 /// Acceptance bar: 4 threads ≥ 2× sequential on the cluster-scale
@@ -42,15 +39,6 @@ const GATE_SPEEDUP: f64 = 2.0;
 const GATE_PARALLEL_SPEEDUP: f64 = 2.0;
 /// Minimum cores for the parallel-speedup gate to be meaningful.
 const GATE_PARALLEL_MIN_CORES: usize = 4;
-
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 fn print_micro(r: &MicroResult) {
     println!(
@@ -105,10 +93,8 @@ fn main() {
     print_micro(&hold_1m);
     let burst = transient(1_000_000, 42);
     print_micro(&burst);
-    let storm = cancel_storm(4_000, 42);
-    print_micro(&storm);
 
-    for r in [&hold_64k, &hold_1m, &burst, &storm] {
+    for r in [&hold_64k, &hold_1m, &burst] {
         assert!(
             r.checksums_match,
             "{}: heap and calendar popped different schedules",
@@ -122,58 +108,8 @@ fn main() {
     );
 
     println!();
-    println!("== end-to-end campaigns (wall-clock, release profile) ==");
-    let hotel = Workload::build(WorkloadKind::Hotel);
-    let campaign = AutoscaleCampaign::new(1.5e6, 1_500).seed(42);
-    let mut auto_hashes = Vec::new();
-    let mut auto_wall = 0.0;
-    for _ in 0..2 {
-        let start = Instant::now();
-        let (rep, windows) = campaign.run_cluster(&hotel, &campaign.crowd, true, |_, _| {});
-        auto_wall = start.elapsed().as_secs_f64();
-        let digest = fnv1a(windows.iter().flat_map(|w| format!("{w:?}").into_bytes()));
-        auto_hashes.push((rep.trace_hash, digest, rep.completed));
-    }
-    assert_eq!(auto_hashes[0], auto_hashes[1], "autoscale replay diverged");
-    let (trace, digest, completed) = auto_hashes[0];
-    assert_eq!(trace, PINNED_TRACE_HASH, "autoscale trace hash drifted");
-    assert_eq!(
-        digest, PINNED_WINDOW_DIGEST,
-        "autoscale window digest drifted"
-    );
-    let auto_krps = completed as f64 / auto_wall / 1e3;
-    println!(
-        "autoscale: {completed} requests in {auto_wall:.2}s wall ({auto_krps:.1} k simulated req/s), \
-         trace 0x{trace:016x} bit-identical across replay and pinned to the heap-era recording"
-    );
-
-    // The same campaign on the conservative parallel engine must
-    // reproduce the same heap-era golden constants bit-for-bit.
-    let par_campaign = AutoscaleCampaign::new(1.5e6, 1_500)
-        .seed(42)
-        .engine(EngineConfig::threads(4));
-    let (par_rep, par_windows) =
-        par_campaign.run_cluster(&hotel, &par_campaign.crowd, true, |_, _| {});
-    let par_digest = fnv1a(
-        par_windows
-            .iter()
-            .flat_map(|w| format!("{w:?}").into_bytes()),
-    );
-    assert_eq!(
-        par_rep.trace_hash, PINNED_TRACE_HASH,
-        "parallel engine (4 threads) diverged from the golden trace hash"
-    );
-    assert_eq!(
-        par_digest, PINNED_WINDOW_DIGEST,
-        "parallel engine (4 threads) diverged from the golden window digest"
-    );
-    println!(
-        "autoscale @ 4 threads: trace 0x{:016x} — reproduces the sequential golden constants",
-        par_rep.trace_hash
-    );
-
-    println!();
     println!("== cluster-scale campaign (8 workers, sequential vs parallel engine) ==");
+    let hotel = Workload::build(WorkloadKind::Hotel);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (seq_wall, seq_trace, seq_completed) = cluster_scale(&hotel, None);
     println!(
@@ -216,31 +152,15 @@ fn main() {
         format!("\"skipped ({cores} core(s): cannot express parallelism)\"")
     };
 
-    let soak = SoakCampaign::new(2.0e6, 14_000).seed(42);
-    let start = Instant::now();
-    let soak_rep = soak.run(&hotel);
-    let soak_wall = start.elapsed().as_secs_f64();
-    let soak_krps = soak_rep.completed as f64 / soak_wall / 1e3;
-    println!(
-        "soak: {} requests over {} diurnal days in {soak_wall:.2}s wall ({soak_krps:.1} k simulated req/s)",
-        soak_rep.completed, soak.days,
-    );
-
     let json = format!(
         "{{\n  \"gate_speedup\": {GATE_SPEEDUP},\n  \"microbench\": [\n{}\n  ],\n  \
-         \"autoscale\": {{\n    \"requests\": {completed},\n    \"wall_s\": {auto_wall:.3},\n    \
-         \"k_req_per_s\": {auto_krps:.1},\n    \"trace_hash\": {trace},\n    \
-         \"window_digest\": {digest},\n    \"parallel_4t_trace_hash\": {}\n  }},\n  \
          \"cluster_scale\": {{\n    \"workers\": 8,\n    \"requests\": {seq_completed},\n    \
          \"cores\": {cores},\n    \"sequential_wall_s\": {seq_wall:.3},\n    \
-         \"speedup_gate\": {parallel_gate},\n    \"threads\": [\n{}\n    ]\n  }},\n  \
-         \"soak\": {{\n    \"requests\": {},\n    \
-         \"wall_s\": {soak_wall:.3},\n    \"k_req_per_s\": {soak_krps:.1}\n  }}\n}}\n",
+         \"speedup_gate\": {parallel_gate},\n    \"threads\": [\n{}\n    ]\n  }}\n}}\n",
         [
             ("hold_64k", &hold_64k),
             ("hold_1m", &hold_1m),
             ("transient_1m", &burst),
-            ("cancel_4k", &storm)
         ]
         .iter()
         .map(|(label, r)| format!(
@@ -253,7 +173,6 @@ fn main() {
         ))
         .collect::<Vec<_>>()
         .join(",\n"),
-        par_rep.trace_hash,
         scale_rows
             .iter()
             .map(|(t, wall, speedup)| format!(
@@ -261,7 +180,6 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
-        soak_rep.completed,
     );
     std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
     println!();
