@@ -2,10 +2,11 @@
 //!
 //! Unlike the simulation harnesses (which report *simulated* nanoseconds),
 //! these measure real wall-clock throughput of the software structures —
-//! the plain list's O(1) closed-form slot lookup vs the B-tree's walk, free
-//! list pops, and the VA codec. They demonstrate on the host what the
-//! hardware model charges in simulation: the plain list does strictly less
-//! work per operation.
+//! the plain list's lookup vs the B-tree's walk, free list pops, and the VA
+//! codec. The simulated plain list is one closed-form VTE read; its host
+//! storage is sparse, so the host lookup computes the slot `f(SC, Index)`
+//! and searches an ordered map of the slots in use. At 1k VMAs that is
+//! still about 1.6–1.9x faster than the B-tree walk on the host.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;

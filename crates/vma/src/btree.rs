@@ -584,20 +584,23 @@ impl VmaTable for BTreeTable {
         self.live
     }
 
-    fn live_slots(&self) -> Vec<(SizeClass, u32)> {
-        let mut out: Vec<(SizeClass, u32)> = self
+    fn live_slots(&self) -> Vec<(SizeClass, u32, &Vte)> {
+        let mut out: Vec<_> = self
             .slot_of_vma
-            .keys()
-            .map(|&(sc, index)| {
+            .iter()
+            .map(|(&(sc, index), &slot)| {
                 (
                     SizeClass::from_index(sc).expect("stored class valid"),
                     index,
+                    self.arena[slot as usize]
+                        .as_ref()
+                        .expect("mapped arena slot holds a VTE"),
                 )
             })
             .collect();
         // The side map iterates in hash order; sort so enumeration is
         // deterministic (snapshots feed seeded, reproducible recovery).
-        out.sort_by_key(|&(sc, index)| (sc.index(), index));
+        out.sort_by_key(|&(sc, index, _)| (sc.index(), index));
         out
     }
 

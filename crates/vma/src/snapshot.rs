@@ -88,8 +88,7 @@ impl PdSnapshot {
     /// image, not the PD).
     pub fn capture(table: &dyn VmaTable, pd: PdId) -> Self {
         let mut entries = Vec::new();
-        for (sc, index) in table.live_slots() {
-            let vte = table.peek(sc, index).expect("live slot has a VTE");
+        for (sc, index, vte) in table.live_slots() {
             if vte.attr.global {
                 continue;
             }
@@ -123,8 +122,7 @@ impl PdSnapshot {
     pub fn diff(&self, table: &dyn VmaTable) -> Vec<SnapshotDiff> {
         let mut repairs = Vec::new();
         // Pass 1: strays — VMAs the PD holds now but didn't at capture.
-        for (sc, index) in table.live_slots() {
-            let vte = table.peek(sc, index).expect("live slot has a VTE");
+        for (sc, index, vte) in table.live_slots() {
             if vte.attr.global || vte.perm_for(self.pd).is_none() {
                 continue;
             }
@@ -179,10 +177,7 @@ impl TableSnapshot {
         let entries = table
             .live_slots()
             .into_iter()
-            .map(|(sc, index)| {
-                let vte = table.peek(sc, index).expect("live slot has a VTE");
-                (sc, index, vte.clone())
-            })
+            .map(|(sc, index, vte)| (sc, index, vte.clone()))
             .collect();
         TableSnapshot { entries }
     }

@@ -7,9 +7,11 @@
 //! T bit (they interact with the VTD); B-tree index-node accesses are plain
 //! data traffic.
 
+use std::collections::BTreeMap;
+
 use jord_hw::types::{PdId, Perm, Va, VteAddr};
 
-use crate::codec::{VaCodec, VTE_BYTES};
+use crate::codec::VaCodec;
 use crate::size_class::SizeClass;
 use crate::vte::{Vte, VteAttr};
 
@@ -127,16 +129,18 @@ pub trait VmaTable {
     /// Number of live mappings.
     fn live_mappings(&self) -> usize;
 
-    /// Every live mapping as `(class, index)` pairs in deterministic
+    /// Every live mapping as `(class, index, VTE)` in deterministic
     /// class-then-index order. Like [`peek`](Self::peek) this charges no
     /// accesses: snapshot capture, crash-recovery validation, and PD
     /// sanitization use it to enumerate state, then charge the repairs
-    /// they actually perform.
-    fn live_slots(&self) -> Vec<(SizeClass, u32)>;
+    /// they actually perform. Host cost grows with the entries in use,
+    /// never with the table's capacity.
+    fn live_slots(&self) -> Vec<(SizeClass, u32, &Vte)>;
 
     /// Dead bookkeeping entries a compaction pass would reclaim —
     /// tombstoned VTEs in the plain list, freed index nodes and arena
-    /// slots in the B-tree. Introspection only, no charged accesses.
+    /// slots in the B-tree. Introspection only, no charged accesses, and
+    /// no host work proportional to the table's capacity.
     fn dead_slots(&self) -> usize;
 
     /// Sweeps dead bookkeeping out of the table — clearing tombstoned
@@ -144,18 +148,25 @@ pub trait VmaTable {
     /// (B-tree) — and returns the number of entries reclaimed. Each
     /// reclaimed entry is one charged write: the sweep rewrites the slot
     /// it scrubs. Live mappings and their VTE addresses are untouched,
-    /// so compaction is always safe under concurrent VLB caching.
+    /// so compaction is always safe under concurrent VLB caching. Host
+    /// cost grows with the entries in use, never with the capacity.
     fn compact(&mut self, acc: &mut Vec<TableAccess>) -> usize;
 }
 
 /// The plain-list VMA table: a flat, preallocated, overprovisioned array of
 /// VTEs whose position is the closed form `A_Base + f(SC, Index)` — both
 /// software and hardware use the same list concurrently (§4.1).
+///
+/// The simulated list is the codec's full capacity; the host stores only
+/// the slots written since the last compaction (live VTEs and tombstones),
+/// keyed by `f(SC, Index)`. Addresses, capacity and charges all come from
+/// the codec, so untouched slots cost neither simulated time nor host
+/// memory.
 #[derive(Debug)]
 pub struct PlainListTable {
     codec: VaCodec,
     base: u64,
-    slots: Vec<Option<Vte>>,
+    slots: BTreeMap<usize, Vte>,
     live: usize,
 }
 
@@ -166,7 +177,7 @@ impl PlainListTable {
         PlainListTable {
             codec,
             base,
-            slots: (0..codec.total_slots()).map(|_| None).collect(),
+            slots: BTreeMap::new(),
             live: 0,
         }
     }
@@ -180,16 +191,6 @@ impl PlainListTable {
     pub fn base(&self) -> u64 {
         self.base
     }
-
-    /// Table footprint in bytes (the "64 MB for a million VMAs" trade-off).
-    pub fn footprint_bytes(&self) -> u64 {
-        self.slots.len() as u64 * VTE_BYTES
-    }
-
-    fn slot_mut(&mut self, sc: SizeClass, index: u32) -> &mut Option<Vte> {
-        let slot = self.codec.slot_of(sc, index);
-        &mut self.slots[slot]
-    }
 }
 
 impl VmaTable for PlainListTable {
@@ -199,11 +200,7 @@ impl VmaTable for PlainListTable {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
         // … and fetches exactly one VTE.
         acc.push(TableAccess::VteRead(vte_addr));
-        let slot = self.codec.slot_of(sc, index);
-        let vte = self.slots[slot].as_ref()?;
-        if !vte.attr.valid {
-            return None;
-        }
+        let vte = self.peek(sc, index)?;
         let off = va - vte.base;
         if off >= vte.len {
             return None; // beyond the requested bound within the chunk
@@ -232,12 +229,12 @@ impl VmaTable for PlainListTable {
             .base_of(sc, index)
             .expect("index within codec capacity");
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        let slot = self.slot_mut(sc, index);
         assert!(
-            slot.as_ref().is_none_or(|v| !v.attr.valid),
+            self.peek(sc, index).is_none(),
             "double insert at {sc} index {index}"
         );
-        *slot = Some(Vte::new(base, len, phys));
+        self.slots
+            .insert(self.codec.slot_of(sc, index), Vte::new(base, len, phys));
         self.live += 1;
         acc.push(TableAccess::VteWrite(vte_addr));
         vte_addr
@@ -245,8 +242,7 @@ impl VmaTable for PlainListTable {
 
     fn remove(&mut self, sc: SizeClass, index: u32, acc: &mut Vec<TableAccess>) -> bool {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        let slot = self.slot_mut(sc, index);
-        match slot {
+        match self.slots.get_mut(&self.codec.slot_of(sc, index)) {
             Some(vte) if vte.attr.valid => {
                 vte.attr.valid = false;
                 vte.clear_sharers();
@@ -267,7 +263,7 @@ impl VmaTable for PlainListTable {
         acc: &mut Vec<TableAccess>,
     ) -> bool {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        match self.slot_mut(sc, index) {
+        match self.slots.get_mut(&self.codec.slot_of(sc, index)) {
             Some(vte) if vte.attr.valid => {
                 vte.set_perm(pd, perm);
                 acc.push(TableAccess::VteWrite(vte_addr));
@@ -289,7 +285,7 @@ impl VmaTable for PlainListTable {
         acc: &mut Vec<TableAccess>,
     ) -> Option<Perm> {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        let vte = match self.slot_mut(sc, index) {
+        let vte = match self.slots.get_mut(&self.codec.slot_of(sc, index)) {
             Some(vte) if vte.attr.valid => vte,
             _ => return None,
         };
@@ -310,7 +306,7 @@ impl VmaTable for PlainListTable {
             return false;
         }
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        match self.slot_mut(sc, index) {
+        match self.slots.get_mut(&self.codec.slot_of(sc, index)) {
             Some(vte) if vte.attr.valid => {
                 vte.len = len;
                 acc.push(TableAccess::VteWrite(vte_addr));
@@ -328,7 +324,7 @@ impl VmaTable for PlainListTable {
         acc: &mut Vec<TableAccess>,
     ) -> bool {
         let vte_addr = self.codec.vte_addr(self.base, sc, index);
-        match self.slot_mut(sc, index) {
+        match self.slots.get_mut(&self.codec.slot_of(sc, index)) {
             Some(vte) if vte.attr.valid => {
                 vte.attr = VteAttr {
                     valid: true,
@@ -342,8 +338,9 @@ impl VmaTable for PlainListTable {
     }
 
     fn peek(&self, sc: SizeClass, index: u32) -> Option<&Vte> {
-        let slot = self.codec.slot_of(sc, index);
-        self.slots[slot].as_ref().filter(|v| v.attr.valid)
+        self.slots
+            .get(&self.codec.slot_of(sc, index))
+            .filter(|v| v.attr.valid)
     }
 
     fn vte_addr(&self, sc: SizeClass, index: u32) -> VteAddr {
@@ -354,37 +351,36 @@ impl VmaTable for PlainListTable {
         self.live
     }
 
-    fn live_slots(&self) -> Vec<(SizeClass, u32)> {
-        let mut out: Vec<(SizeClass, u32)> = self
+    fn live_slots(&self) -> Vec<(SizeClass, u32, &Vte)> {
+        let mut out: Vec<_> = self
             .slots
             .iter()
-            .enumerate()
-            .filter(|(_, v)| v.as_ref().is_some_and(|v| v.attr.valid))
-            .map(|(slot, _)| self.codec.slot_to_vma(slot))
+            .filter(|(_, v)| v.attr.valid)
+            .map(|(&slot, v)| {
+                let (sc, index) = self.codec.slot_to_vma(slot);
+                (sc, index, v)
+            })
             .collect();
-        out.sort_by_key(|&(sc, index)| (sc.index(), index));
+        out.sort_by_key(|&(sc, index, _)| (sc.index(), index));
         out
     }
 
     fn dead_slots(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|v| v.as_ref().is_some_and(|v| !v.attr.valid))
-            .count()
+        self.slots.len() - self.live
     }
 
     fn compact(&mut self, acc: &mut Vec<TableAccess>) -> usize {
-        let mut reclaimed = 0;
-        for slot in 0..self.slots.len() {
-            if self.slots[slot].as_ref().is_some_and(|v| !v.attr.valid) {
+        let reclaimed = self.dead_slots();
+        // Ascending slot order, as a sweep of the hardware list would go.
+        self.slots.retain(|&slot, vte| {
+            if !vte.attr.valid {
                 let (sc, index) = self.codec.slot_to_vma(slot);
-                self.slots[slot] = None;
                 acc.push(TableAccess::VteWrite(
                     self.codec.vte_addr(self.base, sc, index),
                 ));
-                reclaimed += 1;
             }
-        }
+            vte.attr.valid
+        });
         reclaimed
     }
 }
@@ -537,9 +533,48 @@ mod tests {
         t.insert(sc(0), 0, 128, 0, &mut acc);
     }
 
+    /// Complexity guard: a 2^31-per-class codec implies ~56 G simulated
+    /// slots. Any host allocation sized by capacity would abort here, and
+    /// any sweep over it would run for minutes.
     #[test]
-    fn footprint_matches_slot_count() {
-        let t = table();
-        assert_eq!(t.footprint_bytes(), t.codec().total_slots() as u64 * 64);
+    fn host_cost_does_not_grow_with_capacity() {
+        let codec = VaCodec::new(VaCodec::DEFAULT_TAG, 1 << 31);
+        assert_eq!(codec.total_slots(), 26 << 31);
+        let mut t = PlainListTable::new(codec, 0x4000_0000);
+        let mut acc = Vec::new();
+        let top = codec.capacity(sc(0)) - 1;
+        let big = codec.capacity(sc(9)) - 1;
+        t.insert(sc(0), 0, 128, 0, &mut acc);
+        t.insert(sc(0), top, 128, 0, &mut acc);
+        t.insert(sc(9), big, 1 << 16, 0, &mut acc);
+        t.insert(sc(3), 7, 1024, 0, &mut acc);
+        assert!(t.remove(sc(0), top, &mut acc));
+        assert!(t.remove(sc(3), 7, &mut acc));
+        assert!(t.remove(sc(0), 0, &mut acc));
+        t.insert(sc(0), 0, 64, 0, &mut acc); // re-insert over a tombstone
+        assert_eq!(t.live_mappings(), 2);
+        assert_eq!(t.dead_slots(), 2);
+        let live: Vec<_> = t
+            .live_slots()
+            .into_iter()
+            .map(|(c, index, vte)| (c, index, vte.len))
+            .collect();
+        assert_eq!(live, vec![(sc(0), 0, 64), (sc(9), big, 1 << 16)]);
+
+        acc.clear();
+        assert_eq!(t.compact(&mut acc), 2);
+        assert_eq!(
+            acc,
+            vec![
+                TableAccess::VteWrite(t.vte_addr(sc(3), 7)),
+                TableAccess::VteWrite(t.vte_addr(sc(0), top)),
+            ]
+        );
+        assert_eq!(t.dead_slots(), 0);
+        assert_eq!(t.live_mappings(), 2);
+        let base = codec.base_of(sc(9), big).unwrap();
+        acc.clear();
+        assert!(t.lookup(base, PdId(0), &mut acc).is_some());
+        assert_eq!(acc, vec![TableAccess::VteRead(t.vte_addr(sc(9), big))]);
     }
 }

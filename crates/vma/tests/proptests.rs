@@ -5,12 +5,13 @@
 //!    depends on it), and
 //! 2. the plain-list and B-tree tables are observationally equivalent under
 //!    any operation sequence (Jord and Jord_BT differ only in cost, never
-//!    in semantics).
+//!    in semantics), and the plain list's tombstone bookkeeping matches a
+//!    model of the slots removed since they were last written.
 
 use proptest::prelude::*;
 
 use jord_hw::types::{PdId, Perm};
-use jord_vma::{BTreeTable, PlainListTable, SizeClass, VaCodec, VmaTable, VteAttr};
+use jord_vma::{BTreeTable, PlainListTable, SizeClass, TableAccess, VaCodec, VmaTable, VteAttr};
 
 fn arb_size_class() -> impl Strategy<Value = SizeClass> {
     (0u8..26).prop_map(|k| SizeClass::from_index(k).unwrap())
@@ -101,6 +102,7 @@ enum Op {
         off_frac: f64,
         pd: u16,
     },
+    Compact,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -127,6 +129,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             off_frac,
             pd
         }),
+        Just(Op::Compact),
     ]
 }
 
@@ -147,6 +150,12 @@ proptest! {
         let mut plain = PlainListTable::new(codec, 0x4000_0000);
         let mut btree = BTreeTable::new(codec, 0x8000_0000, 0x9000_0000);
         let mut live = std::collections::HashSet::new();
+        // Plain-list tombstones: slots removed and not since re-inserted
+        // or compacted.
+        let mut tombstones = std::collections::BTreeSet::new();
+        let keys = |t: &dyn VmaTable| -> Vec<(SizeClass, u32)> {
+            t.live_slots().into_iter().map(|(sc, index, _)| (sc, index)).collect()
+        };
         let mut acc_p = Vec::new();
         let mut acc_b = Vec::new();
 
@@ -163,6 +172,7 @@ proptest! {
                     plain.insert(sc, index, len, 0, &mut acc_p);
                     btree.insert(sc, index, len, 0, &mut acc_b);
                     live.insert(slot);
+                    tombstones.remove(&codec.slot_of(sc, index));
                 }
                 Op::Remove { slot } => {
                     let (sc, index) = concrete(slot);
@@ -170,6 +180,9 @@ proptest! {
                     let b = btree.remove(sc, index, &mut acc_b);
                     prop_assert_eq!(a, b, "remove disagreement");
                     live.remove(&slot);
+                    if a {
+                        tombstones.insert(codec.slot_of(sc, index));
+                    }
                 }
                 Op::SetPerm { slot, pd, perm } => {
                     let (sc, index) = concrete(slot);
@@ -217,8 +230,25 @@ proptest! {
                         (a, b) => prop_assert!(false, "lookup disagreement: {a:?} vs {b:?}"),
                     }
                 }
+                Op::Compact => {
+                    // One VTE write per tombstone, in ascending slot order.
+                    let want: Vec<_> = tombstones
+                        .iter()
+                        .map(|&s| {
+                            let (sc, index) = codec.slot_to_vma(s);
+                            TableAccess::VteWrite(plain.vte_addr(sc, index))
+                        })
+                        .collect();
+                    prop_assert_eq!(plain.compact(&mut acc_p), tombstones.len());
+                    prop_assert_eq!(&acc_p, &want);
+                    tombstones.clear();
+                    // The B-tree only releases trailing entries.
+                    btree.compact(&mut acc_b);
+                }
             }
             prop_assert_eq!(plain.live_mappings(), btree.live_mappings());
+            prop_assert_eq!(plain.dead_slots(), tombstones.len());
+            prop_assert_eq!(keys(&plain), keys(&btree));
         }
         btree.check_invariants();
     }
