@@ -12,7 +12,6 @@
 //! | `fig13_btree` | Figure 13 — Jord_BT vs Jord (plus the §6.2 PrivLib time comparison) |
 //! | `fig14_scalability` | Figure 14 — service/shootdown/dispatch latencies vs system scale |
 //! | `host_vma_tables` | Criterion host-side microbenchmarks of the table data structures |
-//! | `engine_queue` | Criterion microbenchmarks of the calendar event queue vs the heap baseline |
 //!
 //! Each harness prints the same rows/series the paper reports, next to the
 //! paper's own numbers where the paper states them. Absolute values are not
@@ -23,8 +22,6 @@
 //!
 //! Runs are sized for a small machine; set `JORD_BENCH_REQUESTS` to raise or
 //! lower the per-point request count (default 5000).
-
-pub mod engine;
 
 use jord_sim::SimDuration;
 use jord_workloads::{runner::RunSpec, System, Workload};

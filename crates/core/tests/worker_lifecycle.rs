@@ -840,7 +840,7 @@ fn cancel_tagged_unoffers_an_undelivered_arrival() {
 #[test]
 fn cancel_tagged_unoffers_each_tag_exactly_once() {
     // Same fixture as above, but withdrawing a batch: every cancel must
-    // remove exactly one arrival (the calendar queue tombstones the
+    // remove exactly one arrival (the event queue tombstones the
     // handle recorded at schedule time), a re-cancel is a typed no-op,
     // and the survivors' schedule is untouched.
     let (r, f) = registry_leaf();
@@ -1102,7 +1102,8 @@ fn golden_trace_run_matches_manual_stepping_across_crash() {
 #[test]
 fn golden_trace_hash_is_pinned_across_queue_rebuilds() {
     // The constant below was recorded under the pre-refactor BinaryHeap
-    // event queue, before the slab-backed calendar queue replaced it.
+    // event queue, before the slab-backed calendar queue replaced it; it
+    // still holds under the slab-keyed heap that replaced the calendar.
     // Pinning it proves the queue swap is invisible to the simulation: the
     // crash plan fires at the same instant, journal replay re-admits the
     // same requests in the same order, and every published lifecycle event

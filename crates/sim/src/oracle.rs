@@ -1,19 +1,13 @@
-//! Reference queue implementations kept for proof and measurement.
+//! The differential-test reference for [`EventQueue`](crate::EventQueue).
 //!
-//! [`EventQueue`](crate::EventQueue) was rebuilt as a slab-backed calendar
-//! queue for throughput; everything downstream (crash replay, golden trace
-//! hashes, ledger parity) leans on bit-for-bit determinism per seed, so the
-//! replaced implementation stays in-tree in two roles:
-//!
-//! * [`BaselineHeap`] — the old comparison-based `BinaryHeap` queue,
-//!   byte-for-byte the pre-refactor hot path. The engine bench harness
-//!   measures it side by side with the calendar queue and gates on the
-//!   speedup; the golden-trace tests prove both produce identical schedules.
-//! * [`HeapOracle`] — [`BaselineHeap`] plus a tombstone set so the
-//!   differential proptest can drive both queues through identical
-//!   schedule/pop/cancel/batch/drain interleavings and assert the full
-//!   `(time, seq, payload)` pop sequence matches. The bookkeeping is kept
-//!   out of [`BaselineHeap`] so the measured baseline stays honest.
+//! [`HeapOracle`] is a deliberately naive implementation of the queue's
+//! semantics: a `BinaryHeap` that owns whole `(time, seq, event)` entries,
+//! with a `BTreeSet` of cancelled sequence numbers. It shares no code with
+//! the production queue's slab, free list or generation-checked handles,
+//! so the differential proptest in `crates/sim/tests/queue_differential.rs`
+//! can drive both through identical schedule/pop/cancel/drain
+//! interleavings and assert that the full `(time, seq, payload)` pop
+//! sequence matches. It is not used outside tests.
 //!
 //! Cancellation goes through handles only: [`OracleId`] mirrors
 //! [`EventId`](crate::EventId).
@@ -54,94 +48,22 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The pre-refactor event queue: a comparison-based binary heap with FIFO
-/// tie-breaking by insertion sequence. Recorded baseline for
-/// `BENCH_engine.json`; do not "optimize" it.
-pub struct BaselineHeap<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    last_popped: SimTime,
-}
-
-impl<E> BaselineHeap<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BaselineHeap {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-        }
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the last popped event time.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.last_popped,
-            "event scheduled in the past: {time} < {}",
-            self.last_popped
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(t, _, e)| (t, e))
-    }
-
-    /// [`pop`](Self::pop) exposing the tie-breaking sequence number.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        let entry = self.heap.pop()?;
-        self.last_popped = entry.time;
-        Some((entry.time, entry.seq, entry.event))
-    }
-
-    /// The timestamp of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The time of the most recently popped event.
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-}
-
-impl<E> Default for BaselineHeap<E> {
-    fn default() -> Self {
-        BaselineHeap::new()
-    }
-}
-
 /// A handle to an event scheduled on a [`HeapOracle`] — the oracle-side
 /// mirror of [`EventId`](crate::EventId). It is the event's globally unique
 /// sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OracleId(u64);
 
-/// [`BaselineHeap`] with id bookkeeping: supports the same
-/// schedule/cancel/batch surface as the calendar queue so the differential
+/// An entry heap with id bookkeeping: supports the same schedule/cancel
+/// surface as [`EventQueue`](crate::EventQueue) so the differential
 /// proptest can drive both through identical op sequences. Cancellation is
-/// modelled exactly like the calendar queue's tombstones — the entry stays
-/// in the heap and is skipped at pop, and surviving events keep their
-/// original sequence numbers.
+/// modelled exactly like the queue's tombstones — the entry stays in the
+/// heap and is skipped at pop, and surviving events keep their original
+/// sequence numbers.
 pub struct HeapOracle<E> {
-    inner: BaselineHeap<E>,
+    heap: BinaryHeap<Entry<E>>,
+    next_seq: u64,
+    last_popped: SimTime,
     /// Seqs cancelled but still physically in the heap. Every other heap
     /// entry is live, so the heap and this set together answer `len` and
     /// cancel staleness.
@@ -152,27 +74,28 @@ impl<E> HeapOracle<E> {
     /// Creates an empty oracle queue.
     pub fn new() -> Self {
         HeapOracle {
-            inner: BaselineHeap::new(),
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            last_popped: SimTime::ZERO,
             tombstones: BTreeSet::new(),
         }
     }
 
     /// Schedules `event`, returning its cancellation handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the last popped event time.
     pub fn schedule(&mut self, time: SimTime, event: E) -> OracleId {
-        let seq = self.inner.next_seq;
-        self.inner.push(time, event);
+        assert!(
+            time >= self.last_popped,
+            "event scheduled in the past: {time} < {}",
+            self.last_popped
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, event });
         OracleId(seq)
-    }
-
-    /// Schedules a batch in iteration order (consecutive seqs).
-    pub fn schedule_batch(
-        &mut self,
-        batch: impl IntoIterator<Item = (SimTime, E)>,
-    ) -> Vec<OracleId> {
-        batch
-            .into_iter()
-            .map(|(t, e)| self.schedule(t, e))
-            .collect()
     }
 
     /// Cancels a pending event; a stale handle is a no-op returning `false`.
@@ -180,23 +103,21 @@ impl<E> HeapOracle<E> {
         // Live means still in the heap and not yet tombstoned; a linear
         // scan is oracle simplicity over speed.
         !self.tombstones.contains(&id.0)
-            && self.inner.heap.iter().any(|e| e.seq == id.0)
+            && self.heap.iter().any(|e| e.seq == id.0)
             && self.tombstones.insert(id.0)
     }
 
     /// Removes and returns the earliest live event.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        // Physically popping a tombstone advances the inner clock; if no
-        // live event follows, restore it — a fruitless pop must leave
-        // `now` untouched, exactly like the calendar queue.
-        let prev_now = self.inner.last_popped;
-        while let Some((t, seq, e)) = self.inner.pop_entry() {
-            if self.tombstones.remove(&seq) {
+        // Tombstones are skipped without touching the clock: a fruitless
+        // pop leaves `now` untouched, exactly like the production queue.
+        while let Some(entry) = self.heap.pop() {
+            if self.tombstones.remove(&entry.seq) {
                 continue;
             }
-            return Some((t, seq, e));
+            self.last_popped = entry.time;
+            return Some((entry.time, entry.seq, entry.event));
         }
-        self.inner.last_popped = prev_now;
         None
     }
 
@@ -207,8 +128,7 @@ impl<E> HeapOracle<E> {
 
     /// The timestamp of the earliest live event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.inner
-            .heap
+        self.heap
             .iter()
             .filter(|e| !self.tombstones.contains(&e.seq))
             .map(|e| (e.time, e.seq))
@@ -218,7 +138,7 @@ impl<E> HeapOracle<E> {
 
     /// Number of pending (live) events.
     pub fn len(&self) -> usize {
-        self.inner.len() - self.tombstones.len()
+        self.heap.len() - self.tombstones.len()
     }
 
     /// True if no live events are pending.
@@ -228,12 +148,12 @@ impl<E> HeapOracle<E> {
 
     /// The time of the most recently popped event.
     pub fn now(&self) -> SimTime {
-        self.inner.last_popped
+        self.last_popped
     }
 
     /// Empties the queue, returning every live event in pop order.
     pub fn drain(&mut self) -> Vec<(SimTime, E)> {
-        let mut entries: Vec<Entry<E>> = std::mem::take(&mut self.inner.heap).into_vec();
+        let mut entries: Vec<Entry<E>> = std::mem::take(&mut self.heap).into_vec();
         entries.sort_by(|a, b| a.time.cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
         let tombs = std::mem::take(&mut self.tombstones);
         entries

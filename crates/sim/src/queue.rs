@@ -5,61 +5,48 @@
 //! reproducible from a seed, so ties in simulated time are broken by insertion
 //! order (FIFO), never by container internals.
 //!
-//! # Design: slab-backed calendar queue with a far-future overflow heap
-//!
-//! Serving the paper's millions-of-users scenarios means billions of
-//! simulated events, so the queue is built for throughput rather than for
-//! the comparison-based `BinaryHeap` it replaces:
+//! # Design: a slab of payloads keyed by one binary heap
 //!
 //! * **Slab arena.** Every payload lives in a slot of a free-listed slab and
 //!   is addressed by a compact [`EventId`] (slot index + generation). The
-//!   ordering structures move 24-byte `(time, seq, slot)` keys, never the
-//!   payloads themselves.
-//! * **Calendar buckets.** A power-of-two array of buckets, each a
-//!   power-of-two number of picoseconds wide (so placement is a shift, not
-//!   a division), covers the *horizon* — the near future starting at
-//!   `horizon_start`. An event inside the horizon is appended to its bucket
-//!   in O(1). A bucket is sorted by `(time, seq)` exactly once, lazily, when
-//!   the pop cursor arms it; same-timestamp events therefore pop in exactly
-//!   the FIFO order the old seq-numbered heap produced.
-//! * **Overflow heap.** Events beyond the horizon go to a far-future min-heap.
-//!   When the horizon's buckets are exhausted the clock advances: the horizon
-//!   re-anchors at the overflow minimum and everything now inside it is
-//!   re-bucketed lazily — far-future events pay the heap only while they stay
-//!   far-future.
+//!   heap moves 24-byte `(time, seq, slot)` keys, never the payloads
+//!   themselves.
+//! * **One min-heap.** Pending keys sit in a single
+//!   `BinaryHeap<Reverse<(time_ps, seq, slot)>>`. Every schedule takes a
+//!   monotone sequence number, so pop order is the total order
+//!   `(time, seq)`: same-timestamp events pop in FIFO order.
 //! * **Tombstone cancellation.** [`EventQueue::cancel`], the one way to
 //!   remove a pending event short of popping or draining, frees the slab
-//!   slot in O(1) and leaves the ordering key behind as a tombstone; pops and
-//!   re-bucketing skip stale keys by comparing the key's `seq` against the
-//!   slot's. Generation counters make a stale [`EventId`] a typed no-op.
-//! * **Geometry adaptation.** The bucket count grows with the live-event
-//!   count and the bucket width tracks an EWMA of observed pop gaps, keeping
-//!   mean bucket occupancy small. Geometry only decides *placement*; the pop
-//!   order is always the total order `(time, seq)`, so schedules are
-//!   bit-identical to the heap implementation regardless of tuning.
+//!   slot in O(1) and leaves its key in the heap as a tombstone. A key is
+//!   stale when its slot is empty *or* holds a later event (the globally
+//!   unique `seq` tells them apart). An exact `stale_keys` count lets
+//!   uncancelled traffic skip the staleness check altogether, and a
+//!   settle step after every pop and cancel drops stale keys from the top,
+//!   so [`EventQueue::peek_time`] never reports a cancelled event.
+//!   Generation counters make a stale [`EventId`] a typed no-op.
 //!
-//! The old binary-heap implementation survives as
-//! [`oracle::BaselineHeap`](crate::oracle::BaselineHeap) — the recorded
-//! baseline for `BENCH_engine.json` and the differential-test oracle proving
-//! pop-order equivalence.
+//! # Why not a calendar queue
+//!
+//! A self-tuning calendar queue (power-of-two buckets, a far-future
+//! overflow heap, geometry re-anchored from a pop-gap EWMA) held this
+//! module for a while. On the hold model it only pays with a deep queue:
+//! at 1 Mi pending it ran 5.4 Mev/s against this heap's 2.0, at 20 k
+//! pending 13.4 against 11.4, and at 2 k the two are level (19.3 vs 18.6;
+//! DESIGN.md §12b has the set-up). Nothing in the repository schedules
+//! deep: the largest pending set is the ~22 k up-front arrivals of a
+//! default `RunSpec`, then the soak example (14 k) and the cluster-scale
+//! campaign (12 k), and the benchmark's passes stay at or below 2 k. A
+//! traced `worker-paper` run pops about 2.7 events per invocation out of
+//! about 20 µs of host time, so the queue is not where that time goes.
+//!
+//! [`oracle::HeapOracle`](crate::oracle::HeapOracle) is an independent
+//! entry-heap implementation of the same semantics, used only as the
+//! differential-test reference.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Smallest bucket-array size (kept tiny: a fleet boots many queues).
-const MIN_BUCKETS: usize = 16;
-/// Largest bucket-array size the geometry may grow to. A million-event
-/// burst (campaign setup) fits its whole span in the horizon at ~2 events
-/// per bucket; the empty-`Vec` headers cost ~24 MiB only at full growth.
-const MAX_BUCKETS: usize = 1 << 20;
-/// Grow the bucket array when live events exceed `buckets × GROW_OCCUPANCY`.
-const GROW_OCCUPANCY: usize = 4;
-/// Bucket width as a multiple of the observed mean pop gap.
-const WIDTH_GAPS: u64 = 4;
-/// EWMA clamp so `width = gap × WIDTH_GAPS` can never overflow.
-const GAP_EWMA_MAX: u64 = 1 << 55;
 
 /// A stable handle to a scheduled event, returned by
 /// [`EventQueue::schedule`] and consumed by [`EventQueue::cancel`].
@@ -94,18 +81,20 @@ impl CancelOutcome {
 /// to prove cancellation stopped paying a full drain-and-rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueProbe {
-    /// Events accepted by `push`/`schedule`/`schedule_batch`.
+    /// Events accepted by `push`/`schedule`.
     pub scheduled: u64,
     /// Events returned by `pop`.
     pub popped: u64,
     /// Events removed by `cancel`.
     pub cancelled: u64,
-    /// Keys moved between buckets and the overflow heap (horizon advances,
-    /// geometry growth, re-anchors). A cancel must never add to this.
+    /// Always 0 since the heap queue (it counted calendar re-bucketing);
+    /// kept for the benchmark package's per-layer output.
     pub rebucketed: u64,
-    /// Keys sent to the far-future overflow heap at schedule time.
+    /// Always 0 since the heap queue (it counted calendar overflow
+    /// placements); kept for the benchmark package's per-layer output.
     pub overflowed: u64,
-    /// Bucket arming sorts performed.
+    /// Always 0 since the heap queue (it counted calendar bucket sorts);
+    /// kept for the benchmark package's per-layer output.
     pub sorts: u64,
 }
 
@@ -114,8 +103,7 @@ impl QueueProbe {
     /// engine runs one queue per shard; merging the per-shard probes into
     /// the cluster report keeps op-count regressions (a cancel paying a
     /// drain-and-rebuild again, say) assertable regardless of thread
-    /// count — the sums are partition-invariant even though each shard's
-    /// own geometry counters are not.
+    /// count — the sums are partition-invariant.
     pub fn merge(&mut self, other: &QueueProbe) {
         self.scheduled += other.scheduled;
         self.popped += other.popped;
@@ -127,32 +115,13 @@ impl QueueProbe {
 }
 
 /// One slab slot. `event == None` means the slot is free (or tombstoned —
-/// the states are identical: cancellation frees immediately and the ordering
+/// the states are identical: cancellation frees immediately and the heap
 /// key left behind is recognized as stale by its `seq`).
 struct Slot<E> {
     time: SimTime,
     seq: u64,
     gen: u32,
     event: Option<E>,
-}
-
-/// A 24-byte ordering key: everything a bucket sort needs without touching
-/// the slab.
-#[derive(Clone, Copy)]
-struct Key {
-    time_ps: u64,
-    seq: u64,
-    slot: u32,
-}
-
-/// Where a timestamp falls relative to the current horizon.
-enum Placement {
-    /// Before `horizon_start` — the horizon must re-anchor backward.
-    Below,
-    /// Inside the horizon, in this bucket.
-    In(usize),
-    /// Beyond the horizon — far-future overflow.
-    Beyond,
 }
 
 /// A future-event list ordered by simulated time with FIFO tie-breaking.
@@ -177,33 +146,13 @@ pub struct EventQueue<E> {
     live: usize,
     next_seq: u64,
     last_popped: SimTime,
-    /// Calendar buckets; length is a power of two.
-    buckets: Vec<Vec<Key>>,
-    /// log2 of the bucket width in picoseconds: widths are powers of two
-    /// so placement is a shift, not a division.
-    width_shift: u32,
-    /// Absolute time of `buckets[0]`'s left edge.
-    horizon_start: u64,
-    /// The bucket the pop cursor is at (`== buckets.len()` when the horizon
-    /// is exhausted).
-    cursor: usize,
-    /// Next un-popped entry of the armed cursor bucket.
-    drain_pos: usize,
-    /// True once the cursor bucket has been sorted for draining.
-    armed: bool,
-    /// Far-future events, min-ordered by `(time, seq)`.
-    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// EWMA of pop-to-pop gaps, steering the bucket width.
-    gap_ewma: u64,
-    /// High-water mark of scheduled timestamps: lets a re-anchor size the
-    /// width to cover the whole pending span even before any pop has
-    /// taught the gap EWMA anything (a pure-push burst).
-    max_pending: u64,
-    /// Exact count of tombstoned keys still physically present in the
-    /// buckets or the overflow heap. While zero — the overwhelmingly
-    /// common case — every staleness check (one random slab access each)
-    /// is skipped, so uncancelled traffic pays nothing for the
-    /// cancellation feature.
+    /// `(time_ps, seq, slot)` keys, min-ordered. Either empty or its top
+    /// is live (the settle invariant); tombstones may sit below the top.
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Exact count of tombstoned keys still in `heap`. While zero — the
+    /// overwhelmingly common case — every staleness check (one random
+    /// slab access each) is skipped, so uncancelled traffic pays nothing
+    /// for the cancellation feature.
     stale_keys: usize,
     probe: QueueProbe,
 }
@@ -217,15 +166,7 @@ impl<E> EventQueue<E> {
             live: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width_shift: 12, // 4096 ps ≈ 4 ns until pops teach us better
-            horizon_start: 0,
-            cursor: 0,
-            drain_pos: 0,
-            armed: false,
-            overflow: BinaryHeap::new(),
-            gap_ewma: 1_000,
-            max_pending: 0,
+            heap: BinaryHeap::new(),
             stale_keys: 0,
             probe: QueueProbe::default(),
         }
@@ -243,90 +184,19 @@ impl<E> EventQueue<E> {
 
     /// [`push`](Self::push) returning a cancellation handle.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
-        let id = self.schedule_unsettled(time, event);
-        self.settle();
-        id
-    }
-
-    /// Schedules a batch of events with consecutive sequence numbers,
-    /// deferring cursor bookkeeping until the whole batch is placed.
-    /// Equivalent to (and bit-identical in pop order with) pushing each
-    /// `(time, event)` in iteration order.
-    ///
-    /// Unlike a push loop, the batch sizes the queue once: the slab is
-    /// reserved from the iterator's size hint, and bucket geometry is
-    /// computed *after* the whole batch is slab-resident — so the live
-    /// count and pending span are both exact — instead of growing
-    /// incrementally (each growth re-bucketing everything scheduled so
-    /// far). A pure-push burst therefore pays one bucket allocation and
-    /// places every key exactly once.
-    pub fn schedule_batch(
-        &mut self,
-        batch: impl IntoIterator<Item = (SimTime, E)>,
-    ) -> Vec<EventId> {
-        let batch = batch.into_iter();
-        let hint = batch.size_hint().0;
-        self.slots.reserve(hint.saturating_sub(self.free.len()));
-        let mut ids = Vec::with_capacity(hint);
-        // Pass 1: slab inserts only; key placement waits until the batch
-        // has taught `live`/`max_pending` the true burst size and span.
-        let mut staged: Vec<Key> = Vec::with_capacity(hint);
-        for (time, event) in batch {
-            assert!(
-                time >= self.last_popped,
-                "event scheduled in the past: {time} < {}",
-                self.last_popped
-            );
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let slot = self.alloc_slot(time, seq, event);
-            self.live += 1;
-            self.probe.scheduled += 1;
-            self.max_pending = self.max_pending.max(time.as_ps());
-            staged.push(Key {
-                time_ps: time.as_ps(),
-                seq,
-                slot,
-            });
-            ids.push(EventId {
-                slot,
-                gen: self.slots[slot as usize].gen,
-            });
-        }
-        // One growth decision for the whole burst, made with exact
-        // knowledge (no staged key is bucketed yet, so re-anchoring
-        // moves only the previously pending keys).
-        if self.live >= self.buckets.len() * GROW_OCCUPANCY && self.buckets.len() < MAX_BUCKETS {
-            self.grow();
-        }
-        // Pass 2: place the keys under the final geometry.
-        for key in staged {
-            self.place(key);
-        }
-        self.settle();
-        ids
-    }
-
-    fn schedule_unsettled(&mut self, time: SimTime, event: E) -> EventId {
         assert!(
             time >= self.last_popped,
             "event scheduled in the past: {time} < {}",
             self.last_popped
         );
-        if self.live >= self.buckets.len() * GROW_OCCUPANCY && self.buckets.len() < MAX_BUCKETS {
-            self.grow();
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.alloc_slot(time, seq, event);
         self.live += 1;
         self.probe.scheduled += 1;
-        self.max_pending = self.max_pending.max(time.as_ps());
-        self.place(Key {
-            time_ps: time.as_ps(),
-            seq,
-            slot,
-        });
+        // A live key either stays below the (live) top or becomes the new
+        // top, so the settle invariant holds without a settle.
+        self.heap.push(Reverse((time.as_ps(), seq, slot)));
         EventId {
             slot,
             gen: self.slots[slot as usize].gen,
@@ -341,35 +211,24 @@ impl<E> EventQueue<E> {
     /// [`pop`](Self::pop) exposing the tie-breaking sequence number — the
     /// differential test suite compares full `(time, seq, event)` triples.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.live == 0 {
-            return None;
-        }
-        // The settle invariant holds after every mutating call, so the
-        // cursor points at the live front.
-        let key = self.buckets[self.cursor][self.drain_pos];
-        self.drain_pos += 1;
-        let slot = &mut self.slots[key.slot as usize];
-        debug_assert_eq!(slot.seq, key.seq, "settled front must be live");
-        let event = slot
-            .event
-            .take()
-            .expect("settled front must hold a payload");
-        let time = slot.time;
-        self.retire_slot(key.slot);
+        // The settle invariant makes the top key the live front.
+        let Reverse((time_ps, seq, slot)) = self.heap.pop()?;
+        let s = &mut self.slots[slot as usize];
+        debug_assert_eq!(s.seq, seq, "settled front must be live");
+        let event = s.event.take().expect("settled front must hold a payload");
+        self.retire_slot(slot);
         self.live -= 1;
         self.probe.popped += 1;
-        let gap = time.as_ps() - self.last_popped.as_ps();
-        self.gap_ewma =
-            (((self.gap_ewma as u128 * 7 + gap as u128) / 8) as u64).clamp(1, GAP_EWMA_MAX);
+        let time = SimTime::from_ps(time_ps);
         self.last_popped = time;
         self.settle();
-        Some((time, key.seq, event))
+        Some((time, seq, event))
     }
 
     /// Cancels a pending event in O(1): the slab slot is freed immediately
-    /// and the ordering key it leaves behind is skipped as a tombstone when
-    /// the schedule reaches it. A stale handle (already popped, already
-    /// cancelled, or foreign) is a typed no-op.
+    /// and the heap key it leaves behind is dropped as a tombstone when it
+    /// reaches the top. A stale handle (already popped, already cancelled,
+    /// or foreign) is a typed no-op.
     pub fn cancel(&mut self, id: EventId) -> CancelOutcome {
         let Some(slot) = self.slots.get_mut(id.slot as usize) else {
             return CancelOutcome::Expired;
@@ -382,19 +241,17 @@ impl<E> EventQueue<E> {
         self.live -= 1;
         self.stale_keys += 1;
         self.probe.cancelled += 1;
-        // If the cancelled event was the settled front, re-settle so
-        // `peek_time` never reports a tombstone.
+        // If the cancelled event was the front, re-settle so `peek_time`
+        // never reports a tombstone.
         self.settle();
         CancelOutcome::Cancelled
     }
 
     /// The timestamp of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.live == 0 {
-            return None;
-        }
-        let key = self.buckets[self.cursor][self.drain_pos];
-        Some(SimTime::from_ps(key.time_ps))
+        self.heap
+            .peek()
+            .map(|&Reverse((time_ps, _, _))| SimTime::from_ps(time_ps))
     }
 
     /// Number of pending events.
@@ -446,14 +303,7 @@ impl<E> EventQueue<E> {
         }
         entries.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
         self.live = 0;
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.overflow.clear();
-        self.cursor = 0;
-        self.drain_pos = 0;
-        self.armed = false;
-        self.max_pending = 0;
+        self.heap.clear();
         self.stale_keys = 0;
         entries.into_iter().map(|(t, _, e)| (t, e)).collect()
     }
@@ -489,229 +339,26 @@ impl<E> EventQueue<E> {
         self.free.push(slot);
     }
 
-    /// True if `key` no longer names a live event (cancelled, popped, or
-    /// its slot was reused — the globally unique `seq` discriminates).
-    fn is_stale(&self, key: &Key) -> bool {
-        let s = &self.slots[key.slot as usize];
-        s.event.is_none() || s.seq != key.seq
+    /// True if the key `(seq, slot)` no longer names a live event
+    /// (cancelled, popped, or its slot was reused — the globally unique
+    /// `seq` discriminates).
+    fn is_stale(&self, seq: u64, slot: u32) -> bool {
+        let s = &self.slots[slot as usize];
+        s.event.is_none() || s.seq != seq
     }
 
-    fn placement(&self, time_ps: u64) -> Placement {
-        if time_ps < self.horizon_start {
-            return Placement::Below;
-        }
-        let idx = ((time_ps - self.horizon_start) >> self.width_shift) as usize;
-        if idx < self.buckets.len() {
-            Placement::In(idx)
-        } else {
-            Placement::Beyond
-        }
-    }
-
-    fn place(&mut self, key: Key) {
-        match self.placement(key.time_ps) {
-            Placement::Below => {
-                // A push landed before the (forward-jumped) horizon: pull
-                // the bucketed keys back into the overflow heap and
-                // re-anchor the horizon at the newcomer.
-                self.unbucket_all();
-                self.anchor(key.time_ps);
-                let idx = ((key.time_ps - self.horizon_start) >> self.width_shift) as usize;
-                self.buckets[idx].push(key);
-                self.refill();
-            }
-            Placement::In(idx) => {
-                if idx < self.cursor {
-                    // The drained prefix of the armed cursor bucket is
-                    // necessarily all tombstone skips: a live pop from it
-                    // would have pinned `last_popped` inside the bucket,
-                    // forcing `idx >= cursor`. Those skips were already
-                    // discounted from `stale_keys`, so drop them for real
-                    // before the rewind — re-arming must not see (and
-                    // re-discount) them.
-                    debug_assert!(
-                        self.drain_pos == 0
-                            || self.buckets[self.cursor][..self.drain_pos]
-                                .iter()
-                                .all(|k| self.is_stale(k))
-                    );
-                    if self.drain_pos > 0 {
-                        self.buckets[self.cursor].drain(..self.drain_pos);
-                        self.drain_pos = 0;
-                    }
-                    self.cursor = idx;
-                    self.armed = false;
-                    self.buckets[idx].push(key);
-                } else if idx == self.cursor && self.armed {
-                    // The draining bucket stays sorted: binary-insert
-                    // among the not-yet-popped keys.
-                    let v = &mut self.buckets[idx];
-                    let pos = v[self.drain_pos..]
-                        .partition_point(|k| (k.time_ps, k.seq) < (key.time_ps, key.seq));
-                    v.insert(self.drain_pos + pos, key);
-                } else {
-                    self.buckets[idx].push(key);
-                }
-            }
-            Placement::Beyond => {
-                self.overflow
-                    .push(Reverse((key.time_ps, key.seq, key.slot)));
-                self.probe.overflowed += 1;
-            }
-        }
-    }
-
-    /// Restores the settle invariant: either the queue is empty or
-    /// `buckets[cursor][drain_pos]` is the live front. All lazy work —
-    /// arming sorts, tombstone skipping, horizon advances — happens here.
+    /// Restores the settle invariant — the heap is empty or its top is
+    /// live — by dropping tombstones off the top.
     fn settle(&mut self) {
-        loop {
-            if self.live == 0 {
-                return;
-            }
-            if self.cursor == self.buckets.len() {
-                // Horizon exhausted but events remain: they are all in
-                // the overflow heap. Advance the clock's horizon to the
-                // overflow minimum and re-bucket lazily.
-                debug_assert!(!self.overflow.is_empty());
-                let &Reverse((min_t, _, _)) = self.overflow.peek().expect("live > 0");
-                self.unarm();
-                self.anchor(min_t);
-                self.refill();
-                continue;
-            }
-            if !self.armed {
-                if self.buckets[self.cursor].is_empty() {
-                    self.cursor += 1;
-                    continue;
-                }
-                self.buckets[self.cursor].sort_unstable_by_key(|k| (k.time_ps, k.seq));
-                self.probe.sorts += 1;
-                self.armed = true;
-                self.drain_pos = 0;
-            }
-            if self.drain_pos == self.buckets[self.cursor].len() {
-                self.buckets[self.cursor].clear();
-                self.armed = false;
-                self.drain_pos = 0;
-                self.cursor += 1;
-                continue;
-            }
-            if self.stale_keys > 0 {
-                let key = self.buckets[self.cursor][self.drain_pos];
-                if self.is_stale(&key) {
-                    self.drain_pos += 1;
+        while self.stale_keys > 0 {
+            match self.heap.peek() {
+                Some(&Reverse((_, seq, slot))) if self.is_stale(seq, slot) => {
+                    self.heap.pop();
                     self.stale_keys -= 1;
-                    continue;
                 }
+                _ => return,
             }
-            return;
         }
-    }
-
-    /// Re-anchors the horizon so `buckets[0]` starts at `time_ps`'s bucket,
-    /// with a power-of-two width covering whichever is larger: the pop-gap
-    /// EWMA's occupancy target, or the whole pending span (so a pure-push
-    /// burst — which has no pop gaps to learn from — never thrashes the
-    /// overflow heap).
-    fn anchor(&mut self, time_ps: u64) {
-        let target = if self.probe.popped == 0 {
-            // Pure-push burst: no pop gaps to learn from yet, so assume
-            // the pending events are roughly uniform over their span.
-            let span = self.max_pending.saturating_sub(time_ps);
-            (span / self.live.max(1) as u64)
-                .max(1)
-                .saturating_mul(WIDTH_GAPS)
-        } else {
-            // Trained: target ~WIDTH_GAPS events per bucket and let true
-            // outliers overflow rather than stretching every bucket.
-            self.gap_ewma.saturating_mul(WIDTH_GAPS).max(1)
-        };
-        // Round up to the next power of two; the clamp keeps the shift
-        // well below 64 (and `next_power_of_two` from overflowing) even
-        // when a `SimTime::MAX` outlier stretches the span estimate.
-        let target = target.clamp(1, GAP_EWMA_MAX);
-        self.width_shift = 64 - target.next_power_of_two().leading_zeros() - 1;
-        self.horizon_start = time_ps & (u64::MAX << self.width_shift);
-        self.cursor = 0;
-        self.drain_pos = 0;
-        self.armed = false;
-    }
-
-    /// Drops armed-cursor state without touching bucket contents.
-    fn unarm(&mut self) {
-        self.armed = false;
-        self.drain_pos = 0;
-    }
-
-    /// Moves every bucketed key back to the overflow heap (dropping
-    /// tombstones on the way) so the horizon can re-anchor.
-    fn unbucket_all(&mut self) {
-        for b in 0..self.buckets.len() {
-            // The portion before `drain_pos` of an armed cursor bucket was
-            // already popped; everything else is pending or tombstoned.
-            let start = if self.armed && b == self.cursor {
-                self.drain_pos
-            } else {
-                0
-            };
-            let mut keys = std::mem::take(&mut self.buckets[b]);
-            for key in keys.drain(..).skip(start) {
-                if self.stale_keys > 0 && self.is_stale(&key) {
-                    self.stale_keys -= 1;
-                    continue;
-                }
-                self.overflow
-                    .push(Reverse((key.time_ps, key.seq, key.slot)));
-                self.probe.rebucketed += 1;
-            }
-            self.buckets[b] = keys; // keep the allocation
-        }
-        self.unarm();
-    }
-
-    /// Pulls every overflow event inside the current horizon into its
-    /// bucket — the lazy re-bucketing step of a clock advance.
-    fn refill(&mut self) {
-        while let Some(&Reverse((t, seq, slot))) = self.overflow.peek() {
-            let key = Key {
-                time_ps: t,
-                seq,
-                slot,
-            };
-            if self.stale_keys > 0 && self.is_stale(&key) {
-                self.overflow.pop();
-                self.stale_keys -= 1;
-                continue;
-            }
-            debug_assert!(t >= self.horizon_start, "heap min precedes horizon");
-            let idx = ((t - self.horizon_start) >> self.width_shift) as usize;
-            if idx >= self.buckets.len() {
-                break;
-            }
-            self.overflow.pop();
-            self.buckets[idx].push(key);
-            self.probe.rebucketed += 1;
-        }
-    }
-
-    /// Doubles-and-more the bucket array to track the live-event count,
-    /// then re-anchors so occupancy stays near constant.
-    fn grow(&mut self) {
-        let target = (self.live / 2)
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if target <= self.buckets.len() {
-            return;
-        }
-        self.unbucket_all();
-        self.buckets.resize_with(target, Vec::new);
-        let anchor_at = self
-            .overflow
-            .peek()
-            .map_or(self.last_popped.as_ps(), |&Reverse((t, _, _))| t);
-        self.anchor(anchor_at);
-        self.refill();
     }
 }
 
@@ -735,9 +382,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("pending", &self.live)
             .field("now", &self.last_popped)
-            .field("buckets", &self.buckets.len())
-            .field("width_ps", &(1u64 << self.width_shift))
-            .field("overflow", &self.overflow.len())
+            .field("tombstones", &self.stale_keys)
             .finish()
     }
 }
@@ -892,31 +537,40 @@ mod tests {
     }
 
     #[test]
-    fn schedule_batch_matches_sequential_pushes() {
-        let times: Vec<u64> = vec![30, 10, 10, 99, 2, 10];
-        let mut a = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            a.push(SimTime::from_ns(t), i);
+    fn a_tombstone_that_outlives_its_slot_stays_dead() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(1), 'a');
+        let doomed = q.schedule(SimTime::from_ns(5), 'x');
+        q.push(SimTime::from_ns(20), 'c');
+        // Not the front: the key stays in the heap as a tombstone.
+        assert!(q.cancel(doomed).is_cancelled());
+        assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
+        // The freed slot is reused by a later-timed event, so the
+        // tombstone's slot is occupied again when the tombstone surfaces;
+        // only the key's `seq` tells the two apart.
+        let reused = q.schedule(SimTime::from_ns(10), 'b');
+        assert_eq!(reused.slot, doomed.slot, "the slot must be reused");
+        let mut popped = Vec::new();
+        while let Some(t) = q.peek_time() {
+            assert_ne!(t, SimTime::from_ns(5), "peek reported the tombstone");
+            let (pt, e) = q.pop().unwrap();
+            assert_eq!(pt, t, "pop disagrees with peek");
+            popped.push((pt, e));
         }
-        let mut b = EventQueue::new();
-        let ids = b.schedule_batch(
-            times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (SimTime::from_ns(t), i)),
+        assert_eq!(
+            popped,
+            [
+                (SimTime::from_ns(1), 'a'),
+                (SimTime::from_ns(10), 'b'),
+                (SimTime::from_ns(20), 'c'),
+            ],
+            "the reused slot's event pops at its own time, exactly once"
         );
-        assert_eq!(ids.len(), times.len());
-        loop {
-            let (x, y) = (a.pop_entry(), b.pop_entry());
-            assert_eq!(x, y, "batch scheduling must not perturb pop order");
-            if x.is_none() {
-                break;
-            }
-        }
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn far_future_events_survive_horizon_advances() {
+    fn far_future_and_end_of_time_events_pop_last() {
         let mut q = EventQueue::new();
         // A dense near cluster, one far outlier, and the maximum instant.
         for i in 0..64u64 {
@@ -936,13 +590,13 @@ mod tests {
     }
 
     #[test]
-    fn push_below_a_jumped_horizon_reanchors() {
+    fn a_near_push_behind_a_far_event_pops_first() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_ns(1), 1u32);
         q.push(SimTime::from_us(500_000), 3);
         assert_eq!(q.pop().unwrap().1, 1);
-        // The horizon may now sit at the far event; a near push must still
-        // order before it.
+        // Only the far event is pending; a near push must still order
+        // before it.
         q.push(SimTime::from_ns(2), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
         assert_eq!(q.pop().unwrap().1, 2);
@@ -963,9 +617,9 @@ mod tests {
     }
 
     #[test]
-    fn geometry_growth_preserves_total_order() {
-        // Push far more events than MIN_BUCKETS × GROW_OCCUPANCY so the
-        // calendar grows mid-stream, with colliding timestamps throughout.
+    fn dense_random_ties_pop_in_total_order() {
+        // Thousands of events on a thousand instants: colliding
+        // timestamps throughout, so FIFO tie-breaking decides most pops.
         let mut q = EventQueue::new();
         let mut rng = crate::rng::Rng::new(7);
         let mut expected: Vec<(u64, usize)> = Vec::new();

@@ -38,7 +38,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// The last representable instant (~213 days in). Scheduling an event
-    /// here is legal; the calendar queue's far-future overflow handles it
+    /// here is legal; the event queue orders it like any other instant,
     /// without arithmetic overflow.
     pub const MAX: SimTime = SimTime(u64::MAX);
 

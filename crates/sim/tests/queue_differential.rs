@@ -1,20 +1,21 @@
-//! Differential tests: the calendar [`EventQueue`] against the pre-refactor
-//! binary-heap oracle.
+//! Differential tests: the slab-keyed [`EventQueue`] against the
+//! entry-heap oracle.
 //!
 //! Both queues are driven through identical randomized interleavings of
-//! schedule / batch / pop / cancel / drain, and after every
+//! schedule / pop / cancel / drain, and after every
 //! operation the observable state must match exactly — full
 //! `(time, seq, payload)` pop triples, `peek_time`, `len`, and `now`. The
-//! generators bias hard toward the regimes where a calendar queue can get
-//! ordering wrong: same-timestamp clusters (FIFO tie-breaking), far-future
-//! outliers (overflow-heap handoff and horizon advances), and the
-//! [`SimTime::MAX`] edge (saturating arithmetic at the end of time).
+//! generators bias hard toward the regimes where ordering can go wrong:
+//! same-timestamp clusters (FIFO tie-breaking), far-future outliers, the
+//! [`SimTime::MAX`] edge (saturating arithmetic at the end of time), and
+//! cancels of already-popped or already-cancelled events whose slab slots
+//! have since been reused.
 //!
-//! The oracle is [`HeapOracle`]: the old `BinaryHeap` implementation plus
+//! The oracle is [`HeapOracle`]: a plain `BinaryHeap` of whole entries plus
 //! just enough id bookkeeping to honor cancellation handles with the same
-//! tombstone semantics the calendar queue uses (survivors keep their
-//! sequence numbers). Any divergence is a bug in the calendar queue — the
-//! heap's ordering is the specification.
+//! tombstone semantics the production queue uses (survivors keep their
+//! sequence numbers). Any divergence is a bug in [`EventQueue`] — the
+//! oracle's ordering is the specification.
 
 use proptest::prelude::*;
 
@@ -28,7 +29,6 @@ use jord_sim::{EventQueue, SimTime};
 #[derive(Debug, Clone)]
 enum Op {
     Schedule(u64),
-    Batch(Vec<u64>),
     Pop,
     Cancel(usize),
     Drain,
@@ -53,7 +53,6 @@ fn op() -> impl Strategy<Value = Op> {
         offset().prop_map(Op::Schedule),
         offset().prop_map(Op::Schedule),
         offset().prop_map(Op::Schedule),
-        proptest::collection::vec(offset(), 1..12).prop_map(Op::Batch),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
@@ -80,24 +79,6 @@ fn run_script(ops: &[Op]) {
                 let oid = oracle.schedule(t, payload);
                 ids.push((qid, oid));
                 payload += 1;
-            }
-            Op::Batch(offs) => {
-                let now = q.now().as_ps();
-                let batch: Vec<(SimTime, u32)> = offs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, off)| {
-                        (
-                            SimTime::from_ps(now.saturating_add(*off)),
-                            payload + i as u32,
-                        )
-                    })
-                    .collect();
-                payload += offs.len() as u32;
-                let qids = q.schedule_batch(batch.iter().copied());
-                let oids = oracle.schedule_batch(batch);
-                assert_eq!(qids.len(), oids.len());
-                ids.extend(qids.into_iter().zip(oids));
             }
             Op::Pop => {
                 assert_eq!(
@@ -141,10 +122,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The headline property: any interleaving of the queue's public
-    /// operations is observationally identical between the calendar queue
+    /// operations is observationally identical between the production queue
     /// and the heap oracle.
     #[test]
-    fn calendar_queue_matches_heap_oracle(ops in proptest::collection::vec(op(), 1..400)) {
+    fn event_queue_matches_heap_oracle(ops in proptest::collection::vec(op(), 1..400)) {
         run_script(&ops);
     }
 
@@ -163,8 +144,7 @@ proptest! {
         run_script(&ops);
     }
 
-    /// Far-future heavy: most events overflow the horizon at schedule time
-    /// and must re-bucket lazily as the clock advances toward them,
+    /// Far-future heavy: events spread over hours of simulated time,
     /// finishing at the `SimTime::MAX` edge.
     #[test]
     fn far_future_heavy_schedules_match(

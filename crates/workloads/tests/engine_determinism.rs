@@ -6,7 +6,8 @@
 //! replay of the pinned campaign.
 //!
 //! The constants below were captured *before* the slab-backed calendar
-//! queue replaced the heap in `jord-sim`. They pin three independent
+//! queue replaced the heap in `jord-sim`, and still hold under the
+//! slab-keyed heap that later replaced the calendar. They pin three independent
 //! observables of the same run: the whole-stream FNV-1a lifecycle trace
 //! hash, an FNV-1a digest over the debug rendering of every autoscaler
 //! [`WindowRecord`], and the aggregate counters. A queue implementation is

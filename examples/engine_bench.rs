@@ -1,23 +1,16 @@
 //! Engine benchmark + determinism gate (see README "Engine bench").
 //!
-//! Measures the slab-backed calendar [`EventQueue`] against the recorded
-//! pre-refactor binary-heap baseline on two synthetic microbenches (hold
-//! model, transient burst), then runs an 8-worker cluster-scale campaign
-//! on the sequential and parallel engines. The autoscale golden replay
-//! lives in `crates/workloads/tests/engine_determinism.rs`; host cost of
-//! the soak campaign is measured by `perfbench`'s `soak-sanitize`
-//! workload.
+//! Runs an 8-worker cluster-scale campaign on the sequential and parallel
+//! engines. The autoscale golden replay lives in
+//! `crates/workloads/tests/engine_determinism.rs`; host cost per simulated
+//! invocation is measured by `perfbench`.
 //!
-//! This is a CI gate, not just a report. It exits nonzero unless:
-//!
-//! * every heap/calendar pair pops a bit-identical checksum,
-//! * the hold model at 1 Mi pending events runs ≥ 2× the heap's
-//!   events/sec (the headline acceptance bar for the queue swap),
-//! * an 8-worker cluster-scale campaign pops the identical trace hash
-//!   at every thread count in {1, 2, 4, 8}, and — on machines with ≥ 4
-//!   cores — runs ≥ 2× faster at 4 threads than sequentially (the gate
-//!   self-skips with an annotation on smaller runners; a 1-core box
-//!   cannot demonstrate wall-clock parallelism).
+//! This is a CI gate, not just a report. It exits nonzero unless the
+//! campaign pops the identical trace hash at every thread count in
+//! {1, 2, 4, 8}, and — on machines with ≥ 4 cores — runs ≥ 2× faster at
+//! 4 threads than sequentially (the gate self-skips with an annotation on
+//! smaller runners; a 1-core box cannot demonstrate wall-clock
+//! parallelism).
 //!
 //! Emits `BENCH_engine.json` with every number printed.
 //!
@@ -27,33 +20,15 @@
 
 use std::time::Instant;
 
-use jord_bench::engine::{hold_model, transient, MicroResult};
 use jord_core::{ClusterConfig, ClusterDispatcher, EngineConfig, RuntimeConfig, SystemVariant};
 use jord_hw::MachineConfig;
 use jord_workloads::{LoadGen, Workload, WorkloadKind};
 
-/// Acceptance bar: calendar ≥ 2× heap on the headline schedule/pop bench.
-const GATE_SPEEDUP: f64 = 2.0;
 /// Acceptance bar: 4 threads ≥ 2× sequential on the cluster-scale
 /// campaign, enforced only where the hardware can express it.
 const GATE_PARALLEL_SPEEDUP: f64 = 2.0;
 /// Minimum cores for the parallel-speedup gate to be meaningful.
 const GATE_PARALLEL_MIN_CORES: usize = 4;
-
-fn print_micro(r: &MicroResult) {
-    println!(
-        "{:>10}: heap {:>8.2} Mev/s  calendar {:>8.2} Mev/s  speedup {:>6.2}x  checksums {}",
-        r.name,
-        r.heap_eps / 1e6,
-        r.calendar_eps / 1e6,
-        r.speedup(),
-        if r.checksums_match {
-            "match"
-        } else {
-            "DIVERGE"
-        },
-    );
-}
 
 /// One cluster-scale run: 8 workers, a burst far beyond their
 /// instantaneous capacity (deep queues keep every shard busy between
@@ -80,34 +55,6 @@ fn cluster_scale(hotel: &Workload, threads: Option<usize>) -> (f64, u64, u64) {
 }
 
 fn main() {
-    println!("== engine microbenches (events/sec, heap baseline vs calendar queue) ==");
-    let hold_64k = hold_model(65_536, 2_000_000, 42);
-    print_micro(&hold_64k);
-    // The gated configuration runs best-of-3: shared CI runners jitter
-    // individual samples by ±20%, and the gate is about the queue, not
-    // the neighbours.
-    let hold_1m = (0..3)
-        .map(|_| hold_model(1_048_576, 2_000_000, 42))
-        .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
-        .expect("three samples");
-    print_micro(&hold_1m);
-    let burst = transient(1_000_000, 42);
-    print_micro(&burst);
-
-    for r in [&hold_64k, &hold_1m, &burst] {
-        assert!(
-            r.checksums_match,
-            "{}: heap and calendar popped different schedules",
-            r.name
-        );
-    }
-    assert!(
-        hold_1m.speedup() >= GATE_SPEEDUP,
-        "hold@1Mi best-of-3 speedup {:.2}x is below the {GATE_SPEEDUP:.1}x acceptance bar",
-        hold_1m.speedup()
-    );
-
-    println!();
     println!("== cluster-scale campaign (8 workers, sequential vs parallel engine) ==");
     let hotel = Workload::build(WorkloadKind::Hotel);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -153,26 +100,9 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"gate_speedup\": {GATE_SPEEDUP},\n  \"microbench\": [\n{}\n  ],\n  \
-         \"cluster_scale\": {{\n    \"workers\": 8,\n    \"requests\": {seq_completed},\n    \
+        "{{\n  \"cluster_scale\": {{\n    \"workers\": 8,\n    \"requests\": {seq_completed},\n    \
          \"cores\": {cores},\n    \"sequential_wall_s\": {seq_wall:.3},\n    \
          \"speedup_gate\": {parallel_gate},\n    \"threads\": [\n{}\n    ]\n  }}\n}}\n",
-        [
-            ("hold_64k", &hold_64k),
-            ("hold_1m", &hold_1m),
-            ("transient_1m", &burst),
-        ]
-        .iter()
-        .map(|(label, r)| format!(
-            "    {{ \"name\": \"{label}\", \"events\": {}, \"heap_eps\": {:.0}, \
-                 \"calendar_eps\": {:.0}, \"speedup\": {:.3} }}",
-            r.events,
-            r.heap_eps,
-            r.calendar_eps,
-            r.speedup(),
-        ))
-        .collect::<Vec<_>>()
-        .join(",\n"),
         scale_rows
             .iter()
             .map(|(t, wall, speedup)| format!(
