@@ -13,10 +13,10 @@
 //! recycled, so coherence misses dominate, as in the paper.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use jord_sim::SimDuration;
 
-use crate::config::MachineConfig;
 use crate::noc::{Endpoint, Noc};
 use crate::types::{CoreId, CoreSet, LineAddr};
 
@@ -46,10 +46,43 @@ pub struct CoherenceStats {
     pub dram_fills: u64,
 }
 
+/// Hashes the directory's `u64` line addresses: one 64×64→128-bit multiply
+/// by an odd constant, the two halves folded together, so low and high
+/// hash bits both depend on every address bit. Line addresses come from
+/// the simulation itself, never from outside input, so the flooding
+/// resistance of the default SipHash buys nothing here.
+///
+/// Hash order cannot reach simulated output: the directory is only ever
+/// probed by key, never iterated. Keep it that way — anything that needs
+/// to enumerate lines must sort them first.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl LineHasher {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let wide = u128::from(self.0 ^ x) * u128::from(Self::MUL);
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The exact-directory MESI model.
 #[derive(Debug)]
 pub struct CoherenceModel {
-    lines: HashMap<u64, LineState>,
+    lines: HashMap<u64, LineState, BuildHasherDefault<LineHasher>>,
     stats: CoherenceStats,
 }
 
@@ -57,7 +90,7 @@ impl CoherenceModel {
     /// Creates an empty model (all lines Invalid / in DRAM).
     pub fn new() -> Self {
         CoherenceModel {
-            lines: HashMap::new(),
+            lines: HashMap::default(),
             stats: CoherenceStats::default(),
         }
     }
@@ -92,25 +125,11 @@ impl CoherenceModel {
         }
     }
 
-    fn l1(&self, noc: &Noc) -> SimDuration {
-        let cfg = noc.config();
-        SimDuration::from_cycles(cfg.l1_cycles, cfg.freq_ghz)
-    }
-
-    fn llc(&self, noc: &Noc) -> SimDuration {
-        let cfg = noc.config();
-        SimDuration::from_cycles(cfg.llc_cycles, cfg.freq_ghz)
-    }
-
-    fn dram(&self, cfg: &MachineConfig) -> SimDuration {
-        SimDuration::from_ns_f64(cfg.dram_ns)
-    }
-
     /// Simulates a read of one line by `core`, returning its latency and
     /// updating directory state.
     pub fn read_line(&mut self, noc: &Noc, core: CoreId, line: LineAddr) -> SimDuration {
-        let l1 = self.l1(noc);
-        let llc = self.llc(noc);
+        let l1 = noc.l1_latency();
+        let llc = noc.llc_latency();
         let home = Endpoint::LlcSlice(noc.home_slice(line));
         let me = Endpoint::Core(core);
 
@@ -151,10 +170,7 @@ impl CoherenceModel {
                 self.lines.insert(line.0, LineState::Exclusive(core));
                 self.stats.llc_fills += 1;
                 self.stats.dram_fills += 1;
-                l1 + noc.message(me, home, 0)
-                    + llc
-                    + self.dram(noc.config())
-                    + noc.message(home, me, 64)
+                l1 + noc.message(me, home, 0) + llc + noc.dram_latency() + noc.message(home, me, 64)
             }
         }
     }
@@ -162,13 +178,15 @@ impl CoherenceModel {
     /// Simulates a write of one line by `core`, returning its latency and
     /// updating directory state. Ends with the line `Modified(core)`.
     pub fn write_line(&mut self, noc: &Noc, core: CoreId, line: LineAddr) -> SimDuration {
-        let l1 = self.l1(noc);
-        let llc = self.llc(noc);
+        let l1 = noc.l1_latency();
+        let llc = noc.llc_latency();
         let home = Endpoint::LlcSlice(noc.home_slice(line));
         let me = Endpoint::Core(core);
 
-        let prev = self.lines.remove(&line.0);
-        let latency = match prev {
+        // One probe: the entry is overwritten in place and the state it
+        // held decides the cost.
+        let prev = self.lines.insert(line.0, LineState::Modified(core));
+        match prev {
             // Write hits: already exclusive owner (silent E→M) or modified.
             Some(LineState::Modified(c)) | Some(LineState::Exclusive(c)) if c == core => {
                 self.stats.l1_hits += 1;
@@ -210,14 +228,9 @@ impl CoherenceModel {
             None => {
                 self.stats.llc_fills += 1;
                 self.stats.dram_fills += 1;
-                l1 + noc.message(me, home, 0)
-                    + llc
-                    + self.dram(noc.config())
-                    + noc.message(home, me, 64)
+                l1 + noc.message(me, home, 0) + llc + noc.dram_latency() + noc.message(home, me, 64)
             }
-        };
-        self.lines.insert(line.0, LineState::Modified(core));
-        latency
+        }
     }
 
     /// Drops a core's copy of a line without timing (used when a VLB/VTD
@@ -255,6 +268,7 @@ impl Default for CoherenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MachineConfig;
 
     fn setup() -> (Noc, CoherenceModel) {
         (Noc::new(MachineConfig::isca25()), CoherenceModel::new())

@@ -41,7 +41,6 @@ struct CoreCtx {
 
 /// The simulated worker-server hardware.
 pub struct Machine {
-    cfg: MachineConfig,
     noc: Noc,
     coherence: CoherenceModel,
     vtd: Vtd,
@@ -65,18 +64,17 @@ impl Machine {
             })
             .collect();
         Machine {
-            noc: Noc::new(cfg.clone()),
             vtd: Vtd::new(cfg.vtd_sets, cfg.vtd_ways),
             coherence: CoherenceModel::new(),
             cores,
+            noc: Noc::new(cfg),
             shootdown_ns: OnlineStats::new(),
-            cfg,
         }
     }
 
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
-        &self.cfg
+        self.noc.config()
     }
 
     /// The NoC model (for callers that need raw topology latencies, e.g.
@@ -110,14 +108,14 @@ impl Machine {
 
     /// Duration of `cycles` core cycles.
     pub fn cycles(&self, cycles: u64) -> SimDuration {
-        SimDuration::from_cycles(cycles, self.cfg.freq_ghz)
+        self.noc.cycles(cycles)
     }
 
     /// Abstract instruction-execution work of `ns` nanoseconds, scaled by
     /// the config's IPC factor (1.0 on the simulator model, ≈2.2 on the
     /// FPGA/RTL model — Table 4 footnote).
     pub fn work(&self, ns: f64) -> SimDuration {
-        SimDuration::from_ns_f64(ns * self.cfg.ipc_factor)
+        SimDuration::from_ns_f64(ns * self.config().ipc_factor)
     }
 
     /// Simulates a data read of `[addr, addr+len)` by `core`.
@@ -151,7 +149,7 @@ impl Machine {
             };
             worst = worst.max(lat);
         }
-        worst + self.cycles(self.cfg.pipeline_cycles * (lines - 1))
+        worst + self.cycles(self.config().pipeline_cycles * (lines - 1))
     }
 
     /// An atomic read-modify-write on one line (free-list pops, queue
@@ -213,7 +211,7 @@ impl Machine {
 
         let shoot_path = if count > 0 {
             self.noc.message(Endpoint::Core(core), home, 0)
-                + self.cycles(self.cfg.llc_cycles)
+                + self.noc.llc_latency()
                 + worst_inval
                 + self.noc.message(home, Endpoint::Core(core), 0)
         } else {
@@ -319,8 +317,8 @@ impl Machine {
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
-            .field("cores", &self.cfg.cores)
-            .field("sockets", &self.cfg.sockets)
+            .field("cores", &self.config().cores)
+            .field("sockets", &self.config().sockets)
             .field("tracked_lines", &self.coherence.tracked_lines())
             .finish()
     }

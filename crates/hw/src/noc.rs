@@ -9,11 +9,23 @@
 //! Cache lines are interleaved across all LLC slices of the machine by line
 //! address, which is what spreads the VTD (co-located with the directory in
 //! each slice) across the chip.
+//!
+//! Every latency the configuration fixes is computed once, at construction:
+//! the L1, LLC, DRAM and inter-socket spans, each tile's (socket, x, y)
+//! position, and `SimDuration::from_cycles` for the short cycle counts
+//! messages and cache accesses produce. The per-line hot path then does no
+//! floating-point work and no division. The tables grow with the tile count,
+//! never with its square, so a 256-core machine costs a few KiB.
 
 use jord_sim::SimDuration;
 
 use crate::config::MachineConfig;
 use crate::types::{CoreId, LineAddr};
+
+/// Cycle counts below this bound come from the precomputed table; longer
+/// spans (large bulk accesses' pipelining term) fall back to
+/// `SimDuration::from_cycles`, which yields the same value.
+const CYCLE_MEMO: usize = 512;
 
 /// A tile endpoint in the NoC: either a core's L1 or an LLC slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,10 +36,37 @@ pub enum Endpoint {
     LlcSlice(usize),
 }
 
+/// Where a tile sits: its socket and its mesh coordinates within it.
+#[derive(Debug, Clone, Copy)]
+struct TilePos {
+    socket: u32,
+    x: u32,
+    y: u32,
+}
+
+impl TilePos {
+    fn hops_to(self, other: TilePos) -> u64 {
+        u64::from(self.x.abs_diff(other.x) + self.y.abs_diff(other.y))
+    }
+
+    /// Hops to the socket's I/O corner (local tile 0), where the
+    /// inter-socket link attaches.
+    fn hops_to_corner(self) -> u64 {
+        u64::from(self.x + self.y)
+    }
+}
+
 /// The NoC latency model.
 #[derive(Debug, Clone)]
 pub struct Noc {
     cfg: MachineConfig,
+    tiles: Vec<TilePos>,
+    /// `cycle_spans[c] == SimDuration::from_cycles(c, freq_ghz)`.
+    cycle_spans: Vec<SimDuration>,
+    l1: SimDuration,
+    llc: SimDuration,
+    dram: SimDuration,
+    inter_socket: SimDuration,
 }
 
 impl Noc {
@@ -38,7 +77,29 @@ impl Noc {
     /// Panics if `cfg.validate()` fails.
     pub fn new(cfg: MachineConfig) -> Self {
         cfg.validate().expect("invalid machine configuration");
-        Noc { cfg }
+        let per_socket = cfg.tiles_per_socket();
+        let tiles = (0..per_socket * cfg.sockets)
+            .map(|t| {
+                let local = t % per_socket;
+                TilePos {
+                    socket: (t / per_socket) as u32,
+                    x: (local % cfg.mesh_w) as u32,
+                    y: (local / cfg.mesh_w) as u32,
+                }
+            })
+            .collect();
+        let cycle_spans = (0..CYCLE_MEMO as u64)
+            .map(|c| SimDuration::from_cycles(c, cfg.freq_ghz))
+            .collect();
+        Noc {
+            tiles,
+            cycle_spans,
+            l1: SimDuration::from_cycles(cfg.l1_cycles, cfg.freq_ghz),
+            llc: SimDuration::from_cycles(cfg.llc_cycles, cfg.freq_ghz),
+            dram: SimDuration::from_ns_f64(cfg.dram_ns),
+            inter_socket: SimDuration::from_ns_f64(cfg.inter_socket_ns),
+            cfg,
+        }
     }
 
     /// The machine configuration this NoC was built from.
@@ -46,26 +107,51 @@ impl Noc {
         &self.cfg
     }
 
+    /// Duration of `cycles` core cycles: exactly
+    /// `SimDuration::from_cycles(cycles, freq_ghz)`, read from a table for
+    /// short spans.
+    pub fn cycles(&self, cycles: u64) -> SimDuration {
+        match self.cycle_spans.get(cycles as usize) {
+            Some(&d) => d,
+            None => SimDuration::from_cycles(cycles, self.cfg.freq_ghz),
+        }
+    }
+
+    /// L1 access latency (`l1_cycles`).
+    pub fn l1_latency(&self) -> SimDuration {
+        self.l1
+    }
+
+    /// LLC slice access latency (`llc_cycles`).
+    pub fn llc_latency(&self) -> SimDuration {
+        self.llc
+    }
+
+    /// DRAM access latency (`dram_ns`).
+    pub fn dram_latency(&self) -> SimDuration {
+        self.dram
+    }
+
     /// Total number of tiles (== LLC slices) across all sockets.
     pub fn total_tiles(&self) -> usize {
-        self.cfg.tiles_per_socket() * self.cfg.sockets
+        self.tiles.len()
     }
 
     /// The home LLC slice (global tile index) of a cache line: lines are
     /// address-interleaved across every slice in the machine.
     pub fn home_slice(&self, line: LineAddr) -> usize {
-        (line.0 % self.total_tiles() as u64) as usize
+        (line.0 % self.tiles.len() as u64) as usize
     }
 
-    fn endpoint_tile(&self, ep: Endpoint) -> usize {
+    fn endpoint_tile(&self, ep: Endpoint) -> TilePos {
         match ep {
             Endpoint::Core(c) => {
                 assert!(c.0 < self.cfg.cores, "core {} out of range", c.0);
-                c.0
+                self.tiles[c.0]
             }
             Endpoint::LlcSlice(t) => {
-                assert!(t < self.total_tiles(), "tile {t} out of range");
-                t
+                assert!(t < self.tiles.len(), "tile {t} out of range");
+                self.tiles[t]
             }
         }
     }
@@ -80,41 +166,20 @@ impl Noc {
         self.socket_of_tile(core.0)
     }
 
-    /// Manhattan hop count between two tiles of the *same* socket.
-    fn hops_within_socket(&self, a: usize, b: usize) -> u64 {
-        let (ax, ay) = (a % self.cfg.mesh_w, a / self.cfg.mesh_w);
-        let (bx, by) = (b % self.cfg.mesh_w, b / self.cfg.mesh_w);
-        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
-    }
-
     /// One-way message latency carrying `payload_bytes` of data (control
     /// headers ride for free in the first flit).
     pub fn message(&self, from: Endpoint, to: Endpoint, payload_bytes: u64) -> SimDuration {
         let a = self.endpoint_tile(from);
         let b = self.endpoint_tile(to);
-        let (sa, sb) = (self.socket_of_tile(a), self.socket_of_tile(b));
-        let local_a = a % self.cfg.tiles_per_socket();
-        let local_b = b % self.cfg.tiles_per_socket();
-
         let ser_cycles = payload_bytes.div_ceil(self.cfg.link_bytes.max(1));
-        let mut total = SimDuration::ZERO;
-        if sa == sb {
-            let hops = self.hops_within_socket(local_a, local_b);
-            total += SimDuration::from_cycles(
-                hops * self.cfg.hop_cycles + ser_cycles,
-                self.cfg.freq_ghz,
-            );
+        if a.socket == b.socket {
+            self.cycles(a.hops_to(b) * self.cfg.hop_cycles + ser_cycles)
         } else {
             // Route to the socket edge, cross the inter-socket link, route on.
             // Edge tile: local tile 0 (the I/O corner) on each socket.
-            let hops = self.hops_within_socket(local_a, 0) + self.hops_within_socket(0, local_b);
-            total += SimDuration::from_cycles(
-                hops * self.cfg.hop_cycles + ser_cycles,
-                self.cfg.freq_ghz,
-            );
-            total += SimDuration::from_ns_f64(self.cfg.inter_socket_ns);
+            let hops = a.hops_to_corner() + b.hops_to_corner();
+            self.cycles(hops * self.cfg.hop_cycles + ser_cycles) + self.inter_socket
         }
-        total
     }
 
     /// Round-trip latency: request (control) out, response with
@@ -192,6 +257,14 @@ mod tests {
         let there = n.message(Endpoint::Core(CoreId(0)), Endpoint::LlcSlice(9), 0);
         let back = n.message(Endpoint::LlcSlice(9), Endpoint::Core(CoreId(0)), 64);
         assert_eq!(rt, there + back);
+    }
+
+    #[test]
+    fn cycles_match_from_cycles_inside_and_past_the_table() {
+        let n = noc();
+        for c in (0..CYCLE_MEMO as u64 + 64).chain([1 << 20, u64::from(u32::MAX)]) {
+            assert_eq!(n.cycles(c), SimDuration::from_cycles(c, 4.0), "{c} cycles");
+        }
     }
 
     #[test]

@@ -256,11 +256,21 @@ impl CoreSet {
         }
     }
 
-    /// Iterates over member cores in ascending order.
+    /// Iterates over member cores in ascending order. Host work is
+    /// proportional to the number of members, not to the 256-core capacity:
+    /// each step takes the lowest set bit of the current word and clears it.
     pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        (0..Self::CAPACITY)
-            .filter(move |&i| self.contains(CoreId(i)))
-            .map(CoreId)
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(CoreId(w * 64 + bit))
+            })
+        })
     }
 }
 

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use jord_hw::coherence::LineState;
-use jord_hw::types::{CoreId, LineAddr, PdId, Perm, VlbEntry, VteAddr};
+use jord_hw::types::{CoreId, CoreSet, LineAddr, PdId, Perm, VlbEntry, VteAddr};
 use jord_hw::{CoherenceModel, Machine, MachineConfig, Noc, Vlb, VlbKind};
 
 #[derive(Debug, Clone, Copy)]
@@ -154,4 +154,37 @@ proptest! {
         let bigger = noc.message(Endpoint::Core(CoreId(a)), Endpoint::Core(CoreId(b)), bytes + 4096);
         prop_assert!(bigger > ab);
     }
+
+    /// `CoreSet::iter` walks set bits word by word; it must list exactly
+    /// the members a scan of every core slot finds, in ascending order.
+    #[test]
+    fn coreset_iter_matches_naive_scan(
+        members in proptest::collection::vec(0usize..CoreSet::CAPACITY, 0..80),
+        removed in proptest::collection::vec(0usize..CoreSet::CAPACITY, 0..20),
+    ) {
+        let mut set: CoreSet = members.iter().map(|&c| CoreId(c)).collect();
+        for &c in &removed {
+            set.remove(CoreId(c));
+        }
+        let naive: Vec<CoreId> = (0..CoreSet::CAPACITY)
+            .filter(|&c| set.contains(CoreId(c)))
+            .map(CoreId)
+            .collect();
+        prop_assert_eq!(set.iter().collect::<Vec<_>>(), naive.clone());
+        prop_assert_eq!(set.iter().count(), set.len());
+    }
+}
+
+#[test]
+fn coreset_iter_crosses_word_boundaries() {
+    let edges = [0usize, 63, 64, 127, 128, 191, 192, 255];
+    let all: CoreSet = edges.iter().map(|&c| CoreId(c)).collect();
+    assert_eq!(all.iter().map(|c| c.0).collect::<Vec<_>>(), edges);
+    for &c in &edges {
+        let one = CoreSet::singleton(CoreId(c));
+        assert_eq!(one.iter().collect::<Vec<_>>(), vec![CoreId(c)]);
+    }
+    let full: CoreSet = (0..CoreSet::CAPACITY).map(CoreId).collect();
+    assert!(full.iter().map(|c| c.0).eq(0..CoreSet::CAPACITY));
+    assert_eq!(CoreSet::empty().iter().next(), None);
 }

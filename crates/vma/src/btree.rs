@@ -584,24 +584,18 @@ impl VmaTable for BTreeTable {
         self.live
     }
 
-    fn live_slots(&self) -> Vec<(SizeClass, u32, &Vte)> {
-        let mut out: Vec<_> = self
-            .slot_of_vma
-            .iter()
-            .map(|(&(sc, index), &slot)| {
-                (
-                    SizeClass::from_index(sc).expect("stored class valid"),
-                    index,
-                    self.arena[slot as usize]
-                        .as_ref()
-                        .expect("mapped arena slot holds a VTE"),
-                )
-            })
-            .collect();
-        // The side map iterates in hash order; sort so enumeration is
-        // deterministic (snapshots feed seeded, reproducible recovery).
-        out.sort_by_key(|&(sc, index, _)| (sc.index(), index));
-        out
+    fn for_each_live<'a>(&'a self, f: &mut dyn FnMut(SizeClass, u32, &'a Vte)) {
+        // Hash order of the side map: callers that keep what they see
+        // sort it (snapshots feed seeded, reproducible recovery).
+        for (&(sc, index), &slot) in &self.slot_of_vma {
+            f(
+                SizeClass::from_index(sc).expect("stored class valid"),
+                index,
+                self.arena[slot as usize]
+                    .as_ref()
+                    .expect("mapped arena slot holds a VTE"),
+            );
+        }
     }
 
     fn dead_slots(&self) -> usize {

@@ -78,7 +78,7 @@ pub struct PdSnapshot {
     /// The snapshotted PD.
     pub pd: PdId,
     /// Every VMA the PD held a permission on, in deterministic
-    /// class-then-index order.
+    /// class-then-index order ([`diff`](Self::diff) binary-searches it).
     pub entries: Vec<SnapshotEntry>,
 }
 
@@ -88,12 +88,9 @@ impl PdSnapshot {
     /// image, not the PD).
     pub fn capture(table: &dyn VmaTable, pd: PdId) -> Self {
         let mut entries = Vec::new();
-        for (sc, index, vte) in table.live_slots() {
-            if vte.attr.global {
-                continue;
-            }
+        table.for_each_live(&mut |sc, index, vte| {
             let perm = vte.perm_for(pd);
-            if !perm.is_none() {
+            if !vte.attr.global && !perm.is_none() {
                 entries.push(SnapshotEntry {
                     sc,
                     index,
@@ -102,8 +99,17 @@ impl PdSnapshot {
                     perm,
                 });
             }
-        }
+        });
+        entries.sort_unstable_by_key(|e| (e.sc.index(), e.index));
         PdSnapshot { pd, entries }
+    }
+
+    /// True if the snapshot holds VMA `(sc, index)`: a binary search, as
+    /// `entries` is in class-then-index order.
+    fn holds(&self, sc: SizeClass, index: u32) -> bool {
+        self.entries
+            .binary_search_by_key(&(sc.index(), index), |e| (e.sc.index(), e.index))
+            .is_ok()
     }
 
     /// Number of captured VMAs.
@@ -120,20 +126,20 @@ impl PdSnapshot {
     /// repairs (in deterministic order) that return the PD to its pristine
     /// layout. An empty result means the PD is already sanitized.
     pub fn diff(&self, table: &dyn VmaTable) -> Vec<SnapshotDiff> {
-        let mut repairs = Vec::new();
         // Pass 1: strays — VMAs the PD holds now but didn't at capture.
-        for (sc, index, vte) in table.live_slots() {
-            if vte.attr.global || vte.perm_for(self.pd).is_none() {
-                continue;
+        // The scan visits the table in storage order; only the strays it
+        // keeps are sorted into class-then-index order.
+        let mut strays = Vec::new();
+        table.for_each_live(&mut |sc, index, vte| {
+            if !vte.attr.global && !vte.perm_for(self.pd).is_none() && !self.holds(sc, index) {
+                strays.push((sc, index, vte.base));
             }
-            if !self.entries.iter().any(|e| e.sc == sc && e.index == index) {
-                repairs.push(SnapshotDiff::Extra {
-                    sc,
-                    index,
-                    va: vte.base,
-                });
-            }
-        }
+        });
+        strays.sort_unstable_by_key(|&(sc, index, _)| (sc.index(), index));
+        let mut repairs: Vec<SnapshotDiff> = strays
+            .into_iter()
+            .map(|(sc, index, va)| SnapshotDiff::Extra { sc, index, va })
+            .collect();
         // Pass 2: drifted or lost snapshot entries.
         for e in &self.entries {
             match table.peek(e.sc, e.index) {

@@ -129,13 +129,24 @@ pub trait VmaTable {
     /// Number of live mappings.
     fn live_mappings(&self) -> usize;
 
+    /// Calls `f` on every live mapping as `(class, index, VTE)`, in storage
+    /// order: unspecified, and for the B-tree not even the same from one
+    /// run to the next. Scans that keep only a few mappings (PD snapshot
+    /// capture and diff) use it and order what they keep themselves. Like
+    /// [`peek`](Self::peek) this charges no accesses, and host cost grows
+    /// with the entries in use, never with the table's capacity.
+    fn for_each_live<'a>(&'a self, f: &mut dyn FnMut(SizeClass, u32, &'a Vte));
+
     /// Every live mapping as `(class, index, VTE)` in deterministic
-    /// class-then-index order. Like [`peek`](Self::peek) this charges no
-    /// accesses: snapshot capture, crash-recovery validation, and PD
-    /// sanitization use it to enumerate state, then charge the repairs
-    /// they actually perform. Host cost grows with the entries in use,
-    /// never with the table's capacity.
-    fn live_slots(&self) -> Vec<(SizeClass, u32, &Vte)>;
+    /// class-then-index order: [`for_each_live`](Self::for_each_live),
+    /// sorted. Crash-recovery validation and whole-table snapshots use it
+    /// to enumerate state, then charge the repairs they actually perform.
+    fn live_slots(&self) -> Vec<(SizeClass, u32, &Vte)> {
+        let mut out = Vec::with_capacity(self.live_mappings());
+        self.for_each_live(&mut |sc, index, vte| out.push((sc, index, vte)));
+        out.sort_by_key(|&(sc, index, _)| (sc.index(), index));
+        out
+    }
 
     /// Dead bookkeeping entries a compaction pass would reclaim —
     /// tombstoned VTEs in the plain list, freed index nodes and arena
@@ -351,18 +362,11 @@ impl VmaTable for PlainListTable {
         self.live
     }
 
-    fn live_slots(&self) -> Vec<(SizeClass, u32, &Vte)> {
-        let mut out: Vec<_> = self
-            .slots
-            .iter()
-            .filter(|(_, v)| v.attr.valid)
-            .map(|(&slot, v)| {
-                let (sc, index) = self.codec.slot_to_vma(slot);
-                (sc, index, v)
-            })
-            .collect();
-        out.sort_by_key(|&(sc, index, _)| (sc.index(), index));
-        out
+    fn for_each_live<'a>(&'a self, f: &mut dyn FnMut(SizeClass, u32, &'a Vte)) {
+        for (&slot, vte) in self.slots.iter().filter(|(_, v)| v.attr.valid) {
+            let (sc, index) = self.codec.slot_to_vma(slot);
+            f(sc, index, vte);
+        }
     }
 
     fn dead_slots(&self) -> usize {

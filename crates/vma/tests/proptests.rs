@@ -7,11 +7,17 @@
 //!    any operation sequence (Jord and Jord_BT differ only in cost, never
 //!    in semantics), and the plain list's tombstone bookkeeping matches a
 //!    model of the slots removed since they were last written.
+//!
+//! PD snapshot capture and diff are also checked against a model: the
+//! whole-table, sorted, linear-scan formulation they replace.
 
 use proptest::prelude::*;
 
 use jord_hw::types::{PdId, Perm};
-use jord_vma::{BTreeTable, PlainListTable, SizeClass, TableAccess, VaCodec, VmaTable, VteAttr};
+use jord_vma::{
+    BTreeTable, PdSnapshot, PlainListTable, SizeClass, SnapshotDiff, SnapshotEntry, TableAccess,
+    VaCodec, VmaTable, VteAttr,
+};
 
 fn arb_size_class() -> impl Strategy<Value = SizeClass> {
     (0u8..26).prop_map(|k| SizeClass::from_index(k).unwrap())
@@ -273,6 +279,145 @@ proptest! {
         } else {
             prop_assert_eq!(vte.perm_for(PdId(from)), perm);
             prop_assert_eq!(vte.sharer_count(), before + 1, "pcopy adds a sharer");
+        }
+    }
+}
+
+/// The PD whose snapshot the sanitization model takes.
+const SNAP_PD: PdId = PdId(1);
+
+/// One step of a PD's life between snapshot capture and teardown.
+#[derive(Debug, Clone)]
+enum Drift {
+    /// Map a fresh VMA (if the slot is free) and grant `pd` on it.
+    Map { slot: u8, pd: u16, perm: Perm },
+    /// Change `pd`'s permission; `Perm::NONE` revokes.
+    SetPerm { slot: u8, pd: u16, perm: Perm },
+    /// Unmap the VMA.
+    Unmap { slot: u8 },
+    /// Flip the VMA's global bit.
+    Global { slot: u8, global: bool },
+}
+
+fn arb_drift() -> impl Strategy<Value = Drift> {
+    let perm = (0u8..8).prop_map(Perm::from_bits);
+    prop_oneof![
+        (0u8..48, 1u16..4, arb_perm()).prop_map(|(slot, pd, perm)| Drift::Map { slot, pd, perm }),
+        (0u8..48, 1u16..4, perm).prop_map(|(slot, pd, perm)| Drift::SetPerm { slot, pd, perm }),
+        (0u8..48).prop_map(|slot| Drift::Unmap { slot }),
+        (0u8..48, any::<bool>()).prop_map(|(slot, global)| Drift::Global { slot, global }),
+    ]
+}
+
+/// Sixteen indices in each of three classes.
+fn snap_slot(slot: u8) -> (SizeClass, u32) {
+    let sc = SizeClass::from_index([0u8, 2, 5][(slot % 3) as usize]).unwrap();
+    (sc, (slot / 3) as u32)
+}
+
+fn apply_drift(t: &mut dyn VmaTable, step: &Drift) {
+    let mut acc = Vec::new();
+    match *step {
+        Drift::Map { slot, pd, perm } => {
+            let (sc, index) = snap_slot(slot);
+            if t.peek(sc, index).is_none() {
+                t.insert(sc, index, sc.bytes(), 0, &mut acc);
+            }
+            t.set_perm(sc, index, PdId(pd), perm, &mut acc);
+        }
+        Drift::SetPerm { slot, pd, perm } => {
+            let (sc, index) = snap_slot(slot);
+            t.set_perm(sc, index, PdId(pd), perm, &mut acc);
+        }
+        Drift::Unmap { slot } => {
+            let (sc, index) = snap_slot(slot);
+            t.remove(sc, index, &mut acc);
+        }
+        Drift::Global { slot, global } => {
+            let (sc, index) = snap_slot(slot);
+            let attr = VteAttr {
+                valid: true,
+                global,
+                privileged: false,
+                global_perm: if global { Perm::READ } else { Perm::NONE },
+            };
+            t.set_attr(sc, index, attr, &mut acc);
+        }
+    }
+}
+
+/// Model capture: every live VMA in class-then-index order, filtered.
+fn model_capture(t: &dyn VmaTable, pd: PdId) -> Vec<SnapshotEntry> {
+    t.live_slots()
+        .into_iter()
+        .filter(|(_, _, vte)| !vte.attr.global && !vte.perm_for(pd).is_none())
+        .map(|(sc, index, vte)| SnapshotEntry {
+            sc,
+            index,
+            base: vte.base,
+            len: vte.len,
+            perm: vte.perm_for(pd),
+        })
+        .collect()
+}
+
+/// Model diff: strays from a sorted whole-table scan with a linear
+/// membership test, then drifted or lost entries in snapshot order.
+fn model_diff(snap: &PdSnapshot, t: &dyn VmaTable) -> Vec<SnapshotDiff> {
+    let mut repairs = Vec::new();
+    for (sc, index, vte) in t.live_slots() {
+        let held = snap.entries.iter().any(|e| e.sc == sc && e.index == index);
+        if !vte.attr.global && !vte.perm_for(snap.pd).is_none() && !held {
+            repairs.push(SnapshotDiff::Extra {
+                sc,
+                index,
+                va: vte.base,
+            });
+        }
+    }
+    for e in &snap.entries {
+        let (sc, index) = (e.sc, e.index);
+        match t.peek(sc, index) {
+            Some(vte) if vte.base == e.base && vte.perm_for(snap.pd) == e.perm => {}
+            Some(vte) if vte.base == e.base => repairs.push(SnapshotDiff::PermDrift {
+                sc,
+                index,
+                va: e.base,
+                want: e.perm,
+            }),
+            _ => repairs.push(SnapshotDiff::Missing { sc, index }),
+        }
+    }
+    repairs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Capture and diff agree with the whole-table model on both table
+    /// kinds, for random layouts (several PDs, global mappings) followed by
+    /// random drift: strays, permission changes and revocations, unmapped
+    /// and remapped slots.
+    #[test]
+    fn pd_snapshot_diff_matches_whole_table_model(
+        layout in proptest::collection::vec(arb_drift(), 0..60),
+        drift in proptest::collection::vec(arb_drift(), 0..40),
+    ) {
+        let codec = VaCodec::isca25();
+        let mut plain = PlainListTable::new(codec, 0x4000_0000);
+        let mut btree = BTreeTable::new(codec, 0x8000_0000, 0x9000_0000);
+        let tables: [&mut dyn VmaTable; 2] = [&mut plain, &mut btree];
+        for t in tables {
+            for step in &layout {
+                apply_drift(t, step);
+            }
+            let snap = PdSnapshot::capture(t, SNAP_PD);
+            prop_assert_eq!(&snap.entries, &model_capture(t, SNAP_PD));
+            prop_assert!(snap.diff(t).is_empty(), "a fresh snapshot has nothing to repair");
+            for step in &drift {
+                apply_drift(t, step);
+            }
+            prop_assert_eq!(snap.diff(t), model_diff(&snap, t));
         }
     }
 }
